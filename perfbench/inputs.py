@@ -32,7 +32,11 @@ CFG_STAGE = {"expert": "expert-gen", "il": "safe-il", "tl": "safe-tl",
 WORKLOADS = {
     "mc_pipeline": {
         "env": "mountain_car",
-        "expert": {"cem_samp": 24, "cem_elite": 4, "cem_iter": 1},
+        # the pump CEM picks an elite mean it never evaluated, and on some
+        # seeds that mean crosses the red line (FOUND in CHANGES.md); a
+        # narrower first proposal keeps it there less often
+        "expert": {"cem_samp": 24, "cem_elite": 4, "cem_iter": 1,
+                   "controller_std0": 0.5},
         "il": {"env_steps": 2400, "n_rollouts": 2, "constraint_steps": 3},
         "tl": {"env_steps": 6400, "n_rollouts": 4},
         "eval": {"eval_episodes": 20},
@@ -57,11 +61,19 @@ def import_dial():
     return trainer
 
 
-def prepare(spec: dict, seed: int, run_dir: Path) -> dict:
-    """Build the four stage configs for one seed and write them as inputs."""
+def prepare(spec: dict, seed: int, run_dir: Path,
+            train_seed: int | None = None) -> dict:
+    """Build the four stage configs and write them as inputs.
+
+    The expert stage runs at `seed`; safe-il, safe-tl and eval run at
+    `train_seed`, which defaults to `seed`.
+    """
     trainer = import_dial()
+    if train_seed is None:
+        train_seed = seed
     cfgs = {stage: trainer.TrainConfig.for_env(
-                spec["env"], CFG_STAGE[stage], seed=seed, **spec[stage])
+                spec["env"], CFG_STAGE[stage],
+                seed=seed if stage == "expert" else train_seed, **spec[stage])
             for stage in STAGES}
     run_dir.mkdir(parents=True, exist_ok=True)
     with open(run_dir / "inputs.json", "w") as fh:

@@ -5,8 +5,10 @@
 One caller in one process runs the workload's four stages in a closed loop,
 each stage called only after the previous one returned, and repeats the
 whole round until S seconds have passed (at least MIN_ROUNDS rounds).  The
-first two rounds run at seed N and the second must write the same bytes as
-the first; later rounds run at seeds derived from N (round_seed).  Stages
+expert stage runs at seed N in every round.  The first two rounds run all
+stages at seed N and the second must write the same bytes as the first;
+later rounds run safe-il, safe-tl and eval at seeds derived from N
+(round_seed).  Stages
 are timed around the calls into dial.trainer; set-up is timed in
 SETUP_PROBES fresh interpreters.  Every round checks its outputs
 (perfbench/checks.py).
@@ -63,9 +65,12 @@ END_TO_END = [
 
 
 def round_seed(seed: int, r: int) -> int:
-    """Program seed of round r.  Inputs, and with them the work of a stage,
-    vary from seed to seed; spreading a run's rounds over several seeds makes
-    its medians depend less on which one seed the run was given."""
+    """Safe-il, safe-tl and eval seed of round r.  Inputs, and with them the
+    work of a stage, vary from seed to seed; spreading a run's rounds over
+    several seeds makes its medians depend less on which one seed the run
+    was given.  The expert stage stays at the run's seed: mountain_car's
+    pump CEM fails certification on some seeds (FOUND in CHANGES.md), and a
+    run should fail only if the seed it was given is one of them."""
     if r < 2:
         return seed
     return int(np.random.SeedSequence([seed, r]).generate_state(1)[0])
@@ -181,7 +186,8 @@ def main(argv=None) -> int:
     while len(rounds) < MIN_ROUNDS or time.perf_counter() - started < args.seconds:
         traced = tracer is not None and len(rounds) > 0
         lo = len(tracer) if traced else 0
-        cfgs = prepare(spec, round_seed(args.seed, len(rounds)), out_dir)
+        cfgs = prepare(spec, args.seed, out_dir,
+                       train_seed=round_seed(args.seed, len(rounds)))
         if traced:
             tracer.install()
         try:
@@ -204,11 +210,12 @@ def main(argv=None) -> int:
             f"{s} {t:.3f}s" for s, t in r["times"].items()) + "\n")
 
     if tracer is not None:
-        errors += check_cvar_samples(tracer.cvar_samples)
-        errors += check_knn_samples(tracer.knn_samples)
+        cvar_errors, coarse = check_cvar_samples(tracer.cvar_samples)
+        errors += cvar_errors + check_knn_samples(tracer.knn_samples)
         tracer.save(out_dir / "trace.npz")
         sys.stderr.write(f"perfbench: {len(tracer)} spans, "
-                         f"{len(tracer.cvar_samples)} cvar and "
+                         f"{len(tracer.cvar_samples)} cvar ({coarse} with an "
+                         f"unresolved quantile) and "
                          f"{len(tracer.knn_samples)} k-NN samples checked\n")
         metrics = per_layer(layer_rounds)
     else:

@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from checks import (
+    CVAR_ULPS,
     check_cvar_samples,
     check_eval,
     check_experts,
@@ -25,8 +26,10 @@ from checks import (
     check_same_artifacts,
     check_stage_log,
     check_unchanged,
+    cvar_reference,
     env_budget,
     file_digest,
+    quantile_grid_step,
 )
 from inputs import WORKLOADS, import_dial, prepare
 from run import run_round
@@ -34,6 +37,13 @@ from spans import Tracer
 
 HERE = Path(__file__).resolve().parent
 SEED = 0
+# Beta shapes seen in nav_pipeline's constraint: the first one's
+# lam-quantile is 1 - 5e-75 and rounds to 1 in float64, the second one's is
+# 1 - 3.6e-15, where one float step moves the cdf by 4e-4; with the
+# value cvar_arr returned for it
+PINNED_ROW = (5.133616998413747, 0.006517010966763353, 0.667685448760299)
+UNRESOLVED_ROW = (7.647094984563743, 0.02255315656932685, 0.5,
+                  0.9929577844345617)
 TINY = {
     "mc_pipeline": {
         "expert": {"cem_samp": 4, "cem_elite": 2, "n_experts": 10},
@@ -138,7 +148,20 @@ def corruption_cases(ref: dict, cfgs: dict, eps, tracer) -> list:
         bad = [(a, b, lam, v * (1.0 + 1e-7) + 1e-11) for a, b, lam, v in rows[:1]]
         cases.append(("cvar_arr: sampled value perturbed by 1e-7",
                       lambda d: None,
-                      lambda d: check_cvar_samples(bad + rows[1:])))
+                      lambda d: check_cvar_samples(bad + rows[1:])[0]))
+    # a row whose 0.668-quantile rounds to 1: cvar_arr returns the mean there,
+    # and a value below the true tail mean must still be rejected
+    a, b, lam = PINNED_ROW
+    low = cvar_reference(a, b, lam) * (1.0 - 1e-6)
+    cases.append(("cvar_arr: pinned-quantile row below the tail mean",
+                  lambda d: None,
+                  lambda d: check_cvar_samples([(a, b, lam, low)])[0]))
+    ua, ub, ulam, _ = UNRESOLVED_ROW
+    far = (cvar_reference(ua, ub, ulam)
+           - 2 * CVAR_ULPS * quantile_grid_step(ua, ub, ulam) / ulam)
+    cases.append(("cvar_arr: unresolved-quantile row off by 8 float steps",
+                  lambda d: None,
+                  lambda d: check_cvar_samples([(ua, ub, ulam, far)])[0]))
     if tracer.knn_samples:
         pts, k, kth = tracer.knn_samples[0]
         kth = kth.copy()
@@ -168,7 +191,10 @@ def main() -> int:
         plain = run_round(trainer, cfgs, eps, out / "round")
         clean = (traced["errors"] + plain["errors"]
                  + check_same_artifacts(plain["digests"], traced["digests"], "rerun")
-                 + check_cvar_samples(tracer.cvar_samples)
+                 + check_cvar_samples(tracer.cvar_samples)[0]
+                 + check_cvar_samples([(*PINNED_ROW, PINNED_ROW[0]
+                                        / (PINNED_ROW[0] + PINNED_ROW[1])),
+                                       UNRESOLVED_ROW])[0]
                  + check_knn_samples(tracer.knn_samples))
         if not (tracer.cvar_samples and tracer.knn_samples):
             clean.append("no cvar_arr or KnnGraph samples were traced")
