@@ -60,7 +60,6 @@ class RiskCriterionValue:
     gamma: float
     gamma_bar: float
     lam: float
-    n_mc: int
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -78,20 +77,15 @@ class ConstraintModel:
     """
 
     def __init__(self, state_dim: int, action_dim: int, hidden: int = 256,
-                 mode: str = PER_STEP_BETA, aggregation: str = "product",
-                 n_features: int = 4, gamma_noise: bool = False,
+                 mode: str = PER_STEP_BETA, n_features: int = 4,
                  rng: np.random.Generator | None = None):
         if mode not in (PER_STEP_BETA, THRESHOLD):
             raise ValueError(f"unknown constraint mode '{mode}'")
-        if aggregation not in ("product", "min"):
-            raise ValueError(f"unknown aggregation '{aggregation}'")
         self.mode = mode
-        self.aggregation = aggregation
         self.state_dim = int(state_dim)
         self.action_dim = int(action_dim)
         self.hidden = int(hidden)
         self.n_features = int(n_features)
-        self.gamma_noise = bool(gamma_noise)
         if mode == PER_STEP_BETA:
             if rng is None:
                 rng = np.random.default_rng(0)
@@ -119,12 +113,10 @@ class ConstraintModel:
     def copy(self) -> "ConstraintModel":
         dup = ConstraintModel.__new__(ConstraintModel)
         dup.mode = self.mode
-        dup.aggregation = self.aggregation
         dup.state_dim = self.state_dim
         dup.action_dim = self.action_dim
         dup.hidden = self.hidden
         dup.n_features = self.n_features
-        dup.gamma_noise = self.gamma_noise
         if self.mode == PER_STEP_BETA:
             dup.net = self.net.copy()
             dup.head = BetaHead(self.head.floor)
@@ -138,8 +130,10 @@ class ConstraintModel:
     # -- persistence ------------------------------------------------------
 
     def save(self, path) -> None:
+        # trajectories always aggregate as a product of per-step terms; the
+        # header still names it so existing checkpoints keep their bytes
         meta = {"kind": "constraint", "mode": self.mode,
-                "aggregation": self.aggregation,
+                "aggregation": "product",
                 "state_dim": self.state_dim, "action_dim": self.action_dim,
                 "hidden": self.hidden, "n_features": self.n_features}
         if self.mode == PER_STEP_BETA:
@@ -153,9 +147,11 @@ class ConstraintModel:
         tensors, meta = load_checkpoint(path)
         if meta.get("kind") != "constraint":
             raise ValueError(f"{path}: not a constraint checkpoint")
+        if meta.get("aggregation") != "product":
+            raise ValueError(f"{path}: unsupported aggregation "
+                             f"'{meta.get('aggregation')}'")
         model = cls(meta["state_dim"], meta["action_dim"], hidden=meta["hidden"],
-                    mode=meta["mode"], aggregation=meta["aggregation"],
-                    n_features=meta["n_features"])
+                    mode=meta["mode"], n_features=meta["n_features"])
         if model.mode == PER_STEP_BETA:
             load_mlp(model.net, tensors, "phi")
         else:
@@ -164,32 +160,12 @@ class ConstraintModel:
 
     # -- evaluation -------------------------------------------------------
 
-    def step_alphas(self, states: np.ndarray, actions: np.ndarray,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
+    def step_alphas(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Beta shape parameters for a batch of steps, shape (T, 2)."""
         if self.mode != PER_STEP_BETA:
             raise ValueError("step_alphas requires per-step-beta mode")
         x = np.concatenate([np.atleast_2d(states), np.atleast_2d(actions)], axis=1)
-        raw = self.net.forward(x)
-        alphas = self.head.alphas(raw)
-        if self.gamma_noise:
-            if rng is None:
-                raise ValueError("gamma noise needs an rng")
-            alphas = np.maximum(rng.gamma(alphas), self.head.floor)
-        return alphas
-
-
-def step_beta(model: ConstraintModel, state, action,
-              rng: np.random.Generator | None = None) -> BetaParams:
-    a = model.step_alphas(np.asarray(state, dtype=float)[None, :],
-                          np.asarray(action, dtype=float)[None, :], rng)
-    return BetaParams(float(a[0, 0]), float(a[0, 1]))
-
-
-def _aggregate_log_gamma(log_cv: np.ndarray, aggregation: str) -> float:
-    if aggregation == "min":
-        return max(float(log_cv.min()), LOG_FLOOR)
-    return max(float(log_cv.sum()), LOG_FLOOR)
+        return self.head.alphas(self.net.forward(x))
 
 
 def _threshold_terms(model: ConstraintModel, tau: Trajectory) -> np.ndarray:
@@ -199,24 +175,17 @@ def _threshold_terms(model: ConstraintModel, tau: Trajectory) -> np.ndarray:
     return np.maximum(1.0 - np.maximum(0.0, rates - model.thresholds), 1e-12)
 
 
-def gamma_criterion(model: ConstraintModel, tau: Trajectory, lam: RiskLevel,
-                    n_mc: int = 1, rng: np.random.Generator | None = None) -> RiskCriterionValue:
+def gamma_criterion(model: ConstraintModel, tau: Trajectory,
+                    lam: RiskLevel) -> RiskCriterionValue:
     """Feasibility criterion of one trajectory at risk level lam."""
-    if n_mc < 1:
-        raise ValueError(f"n_mc must be >= 1, got {n_mc}")
     if model.mode == THRESHOLD:
         terms = _threshold_terms(model, tau)
         g = math.exp(max(float(np.log(terms).sum()), LOG_FLOOR))
-        return RiskCriterionValue(g, 1.0 - g, lam.lam, n_mc)
-    draws = n_mc if model.gamma_noise else 1
-    total = 0.0
-    for _ in range(draws):
-        alphas = model.step_alphas(tau.states, tau.actions, rng)
-        cv = cvar_arr(alphas[:, 0], alphas[:, 1], lam.lam)
-        total += math.exp(_aggregate_log_gamma(np.log(np.maximum(cv, 1e-300)),
-                                               model.aggregation))
-    g = min(total / draws, 1.0)
-    return RiskCriterionValue(g, 1.0 - g, lam.lam, n_mc)
+        return RiskCriterionValue(g, 1.0 - g, lam.lam)
+    alphas = model.step_alphas(tau.states, tau.actions)
+    cv = cvar_arr(alphas[:, 0], alphas[:, 1], lam.lam)
+    g = min(math.exp(max(float(np.log(np.maximum(cv, 1e-300)).sum()), LOG_FLOOR)), 1.0)
+    return RiskCriterionValue(g, 1.0 - g, lam.lam)
 
 
 def importance_weights(model: ConstraintModel, tau: Trajectory,
@@ -260,18 +229,11 @@ def _kl_grads(alphas: np.ndarray, prior: BetaParams):
     return kl, d1, d2
 
 
-def _log_gamma_row_grads(cv: np.ndarray, aggregation: str):
-    """d log(aggregate) / d cv per row, honoring the floor and aggregation."""
+def _log_gamma_row_grads(cv: np.ndarray):
+    """d log(product) / d cv per row, honoring the floor."""
     cv = np.maximum(cv, 1e-300)
-    log_cv = np.log(cv)
     grads = np.zeros_like(cv)
-    if aggregation == "min":
-        i = int(np.argmin(log_cv))
-        log_g = log_cv[i]
-        if log_g > LOG_FLOOR:
-            grads[i] = 1.0 / cv[i]
-        return max(log_g, LOG_FLOOR), grads
-    log_g = float(log_cv.sum())
+    log_g = float(np.log(cv).sum())
     if log_g > LOG_FLOOR:
         grads = 1.0 / cv
     return max(log_g, LOG_FLOOR), grads
@@ -360,7 +322,7 @@ def constraint_update(model: ConstraintModel, expert_batch: list, nominal_batch:
     dalpha = np.zeros_like(alphas)
     loss_e = loss_n = 0.0
     for w, (lo, hi) in zip(weights, spans):
-        log_g, row_g = _log_gamma_row_grads(cv[lo:hi], model.aggregation)
+        log_g, row_g = _log_gamma_row_grads(cv[lo:hi])
         dalpha[lo:hi, 0] += w * row_g * dc1[lo:hi]
         dalpha[lo:hi, 1] += w * row_g * dc2[lo:hi]
         if w > 0:

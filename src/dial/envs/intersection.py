@@ -440,6 +440,3 @@ class IntersectionLite(Environment):
     def project(self, obs: np.ndarray) -> np.ndarray:
         obs = np.atleast_2d(obs)
         return obs[:, :2] * 20.0
-
-    def control_state(self, state: IntersectionState) -> ControlState:
-        return self._control_state(state)

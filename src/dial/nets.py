@@ -127,14 +127,6 @@ class AdamState:
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def clip_grads(grads: list, max_norm: float) -> list:
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads))
-    if total > max_norm and total > 0.0:
-        scale = max_norm / total
-        return [g * scale for g in grads]
-    return grads
-
-
 class GaussianHead:
     """Diagonal Gaussian over a box: tanh-scaled mean, softplus std with a floor.
 

@@ -1,9 +1,11 @@
 """Constrained policy improvement.
 
-Three optimizers share this module: the Lagrangian PPO update used during
-transfer, the trust-region-gated entropy ascent used while imitating
-experts, and a constrained cross-entropy search for linear controller
-gains. The safety weight kappa and its damped stand-in live here too.
+Two gradient optimizers share this module: the Lagrangian PPO update used
+during transfer and the trust-region-gated entropy ascent used while
+imitating experts. The constrained cross-entropy search over controller
+gains ranks its candidates with cem_rank; its rounds live in
+trainer._cem_round, and trainer.RECIPES says which environment uses which.
+The safety weight kappa and its damped stand-in live here too.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constraint import gamma_criterion
 from .entropy import ImportanceWeightSet, KnnGraph, ParticleSet
 from .nets import AdamState, GaussianHead, Mlp, load_checkpoint, load_mlp, mlp_tensors, save_checkpoint
 
@@ -257,12 +258,11 @@ class TrustRegionConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
 
-def safe_il_policy_step(policy: GaussianPolicy, rollouts: list,
-                        constraint_model, lam, tr: TrustRegionConfig,
-                        ls: LagrangeState, rng: np.random.Generator,
-                        lr: float = 1e-3, opt: AdamState | None = None,
-                        risk_bars=None, max_particles: int = 2048,
-                        max_inner: int = 20) -> dict:
+def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
+                        tr: TrustRegionConfig, ls: LagrangeState,
+                        rng: np.random.Generator, lr: float = 1e-3,
+                        opt: AdamState | None = None,
+                        max_particles: int = 2048, max_inner: int = 20) -> dict:
     """Entropy-ascent inner loop gated by the divergence estimate.
 
     Particles are rollout states under the old policy; reweighting them by
@@ -270,14 +270,11 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list,
     distribution without fresh rollouts. Steps ascend
     beta * H_k + reward surrogate - kappa_tilde * risk surrogate
     and stop at the first divergence estimate above delta (the first step
-    always runs) or after max_inner steps. risk_bars short-circuits the
-    criterion evaluation when the caller already has it.
+    always runs) or after max_inner steps. risk_bars holds each rollout's
+    expected risk under the constraint model.
     """
     if not rollouts:
         raise ValueError("need at least one rollout")
-    if risk_bars is None:
-        risk_bars = [gamma_criterion(constraint_model, t, lam).gamma_bar
-                     for t in rollouts]
     risk_bars = np.asarray(risk_bars, dtype=float)
     n_traj = len(rollouts)
     kappa_tilde = damped_weight(ls, float(risk_bars.mean()))
@@ -361,28 +358,7 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list,
 
 
 # ---------------------------------------------------------------------------
-# constrained cross-entropy method
-
-@dataclass
-class CemConfig:
-    """Gaussian search settings over controller parameters."""
-
-    init_mean: np.ndarray
-    init_std: np.ndarray
-    n_samp: int = 80
-    n_elite: int = 20
-    n_iter: int = 5
-    std_floor: float = 1e-6
-
-    def __post_init__(self):
-        self.init_mean = np.asarray(self.init_mean, dtype=float)
-        self.init_std = np.broadcast_to(
-            np.asarray(self.init_std, dtype=float), self.init_mean.shape).copy()
-        if self.n_elite > self.n_samp:
-            raise ValueError("n_elite must not exceed n_samp")
-        if self.n_elite < 1 or self.n_iter < 1:
-            raise ValueError("need n_elite >= 1 and n_iter >= 1")
-
+# constrained cross-entropy ranking
 
 def cem_rank(rewards: np.ndarray, violations: np.ndarray) -> np.ndarray:
     """Candidate order: fewest violated constraints, least total excess,
@@ -390,34 +366,3 @@ def cem_rank(rewards: np.ndarray, violations: np.ndarray) -> np.ndarray:
     counts = (violations > 0.0).sum(axis=1)
     mags = np.maximum(violations, 0.0).sum(axis=1)
     return np.lexsort((-np.asarray(rewards, dtype=float), mags, counts))
-
-
-def cem_optimize(evaluate, cfg: CemConfig, rng: np.random.Generator) -> dict:
-    """Iterated Gaussian refitting on the lexicographically best candidates.
-
-    evaluate(params) returns (reward, per-constraint violation magnitudes);
-    a magnitude > 0 counts as a violated constraint.
-    """
-    mean = cfg.init_mean.copy()
-    std = cfg.init_std.copy()
-    history = []
-    for _ in range(cfg.n_iter):
-        cand = mean + std * rng.standard_normal((cfg.n_samp, mean.shape[0]))
-        rewards = np.empty(cfg.n_samp)
-        viols = None
-        for i in range(cfg.n_samp):
-            r, v = evaluate(cand[i])
-            v = np.atleast_1d(np.asarray(v, dtype=float))
-            if viols is None:
-                viols = np.empty((cfg.n_samp, v.shape[0]))
-            rewards[i] = r
-            viols[i] = v
-        order = cem_rank(rewards, viols)
-        elite = cand[order[: cfg.n_elite]]
-        mean = elite.mean(axis=0)
-        std = np.maximum(elite.std(axis=0), cfg.std_floor)
-        history.append({"mean": mean.copy(),
-                        "elite_reward": float(rewards[order[: cfg.n_elite]].mean()),
-                        "elite_violations": float(
-                            np.maximum(viols[order[: cfg.n_elite]], 0.0).sum(axis=1).mean())})
-    return {"mean": mean, "std": std, "history": history}

@@ -3,8 +3,10 @@
 The imitation stage alternates constraint updates at sampled risk levels with
 gated entropy steps on the exploration policy; the transfer stage freezes the
 constraint model and optimizes a target reward against the recovered risk.
-Driving uses a 5-gain linear controller improved by constrained
-cross-entropy rounds instead of a Gaussian policy.
+What differs between environments (stage budgets, task families, the
+demonstrators, and whether a driving controller with a threshold constraint
+replaces the Gaussian policy and the per-step Beta model) is one row of
+RECIPES; the stages themselves are shared.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -45,20 +48,6 @@ from .policyopt import (
 
 STAGES = ("expert-gen", "safe-il", "safe-tl", "eval")
 
-# per-environment stage tables; everything else is shared across runs
-IL_TABLE = {
-    "intersection": {"env_steps": 150_000, "beta": 0.01, "delta": 0.1},
-    "mountain_car": {"env_steps": 50_000, "beta": 0.01, "delta": 0.5},
-    "cartpole": {"env_steps": 500_000, "beta": 0.01, "delta": 0.5},
-    "basic_nav": {"env_steps": 200_000, "beta": 1.0, "delta": 1.0},
-}
-TL_TABLE = {
-    "intersection": {"env_steps": 150_000, "n_experts": 100},
-    "mountain_car": {"env_steps": 50_000, "n_experts": 50},
-    "cartpole": {"env_steps": 500_000, "n_experts": 50},
-    "basic_nav": {"env_steps": 500_000, "n_experts": 50},
-}
-
 CONSTRAINT_FILE = "constraint.ckpt"
 POLICY_FILE = "policy.ckpt"
 METRICS_FILE = "metrics.jsonl"
@@ -87,13 +76,34 @@ def dial_threads() -> int:
     return os.cpu_count() or 1
 
 
+@dataclass(frozen=True)
+class Recipe:
+    """One environment's row of RECIPES.
+
+    il_steps budgets safe-il, tl_steps safe-tl and the learned expert; beta
+    and delta are safe-il's entropy weight and trust region. tasks names the
+    task family of expert-gen, then of safe-tl and eval (safe-il draws "il").
+    driving swaps the Gaussian policy and per-step Beta model for controller
+    CEM rounds against a threshold constraint. experts(env, cfg, rng, mode)
+    returns the demonstrators as {task goal, or None for any task: policy}.
+    """
+
+    il_steps: int
+    tl_steps: int
+    n_experts: int
+    beta: float
+    delta: float
+    tasks: tuple
+    driving: bool
+    experts: Callable
+
+
 def task_mode_for(env_name: str, stage: str) -> str:
     """Which task family each stage draws from."""
     if stage == "safe-il":
         return "il"
-    if env_name in ("basic_nav", "intersection"):
-        return "meta" if stage in ("safe-tl", "eval") else "il"
-    return "tl"
+    expert, transfer = RECIPES[env_name].tasks
+    return expert if stage == "expert-gen" else transfer
 
 
 @dataclass
@@ -161,6 +171,13 @@ class TrainConfig:
             raise ConfigError("constraint batch sizes must be >= 1")
         if self.cem_elite > self.cem_samp:
             raise ConfigError("cem_elite cannot exceed cem_samp")
+        if min(self.cem_elite, self.cem_iter, self.cem_eval_episodes) < 1:
+            raise ConfigError(
+                "cem_elite, cem_iter and cem_eval_episodes must be >= 1")
+        if self.k_neighbors < 1:
+            raise ConfigError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
+        if self.delta < 0.0 or self.kappa0 < 0.0:
+            raise ConfigError("delta and kappa0 must be >= 0")
         if not 0.0 < self.expert_eps_frac <= 1.0:
             raise ConfigError(
                 f"expert_eps_frac must lie in (0, 1], got {self.expert_eps_frac}")
@@ -169,16 +186,15 @@ class TrainConfig:
 
     @classmethod
     def for_env(cls, env: str, stage: str, **overrides) -> "TrainConfig":
-        """Stage defaults from the per-environment tables."""
-        if env not in IL_TABLE:
+        """Stage defaults from the environment's recipe."""
+        if env not in RECIPES:
             raise ConfigError(f"unknown env '{env}'")
-        base: dict = {"env": env, "stage": stage}
+        r = RECIPES[env]
+        base: dict = {"env": env, "stage": stage, "n_experts": r.n_experts}
         if stage in ("safe-il", "expert-gen"):
-            base.update(IL_TABLE[env])
-            base["n_experts"] = TL_TABLE[env]["n_experts"]
+            base.update(env_steps=r.il_steps, beta=r.beta, delta=r.delta)
         elif stage in ("safe-tl", "eval"):
-            base.update(TL_TABLE[env])
-            base.setdefault("env_steps", TL_TABLE[env]["env_steps"])
+            base["env_steps"] = r.tl_steps
         base.update(overrides)
         return cls.from_dict(base)
 
@@ -299,9 +315,6 @@ class PumpPolicy:
             a = -np.ones(1)
         return a, a, 0.0
 
-    def copy(self) -> "PumpPolicy":
-        return PumpPolicy(self.gains.copy(), self.std.copy())
-
 
 class DetourPolicy:
     """Straight-line guidance that swings around a circular no-go disc.
@@ -359,10 +372,6 @@ class DetourPolicy:
             return False
         return d * d - proj * proj < self.avoid ** 2
 
-    def copy(self) -> "DetourPolicy":
-        return DetourPolicy(self.goal, self.hazard, self.avoid, margin=0.0,
-                            jitter=self.jitter)
-
 
 def load_policy(path):
     """Dispatch on the checkpoint kind."""
@@ -398,12 +407,11 @@ def run_episode(env, policy, task, rng) -> tuple:
 
 
 def collect_rollouts(env, policy, n: int, rng, mode: str = "il",
-                     budget_left: int | None = None, fixed_task=None):
+                     budget_left: int | None = None):
     """Up to n episodes, stopping early once budget_left steps are recorded."""
     trajs, infos, steps = [], [], 0
     for _ in range(n):
-        task = fixed_task if fixed_task is not None else env.sample_task(rng, mode)
-        tau, info = run_episode(env, policy, task, rng)
+        tau, info = run_episode(env, policy, env.sample_task(rng, mode), rng)
         trajs.append(tau)
         infos.append(info)
         steps += len(tau)
@@ -438,17 +446,14 @@ def rollout_metrics(env, rollouts: list, infos: list | None = None) -> Metrics:
                    goal_rate=goal_rate, feasible_reward=feasible)
 
 
-def evaluate(cfg: TrainConfig, policy, task_mode: str | None = None,
-             seeds: list | None = None) -> tuple:
+def evaluate(cfg: TrainConfig, policy) -> tuple:
     """Metrics over eval_episodes per seed, episodes in parallel workers.
 
     Per-episode generators come from SeedSequence([seed, episode]), so the
     result is independent of scheduling and worker count.
     """
-    if task_mode is None:
-        task_mode = task_mode_for(cfg.env, "eval")
-    if seeds is None:
-        seeds = cfg.eval_seeds if cfg.eval_seeds else [cfg.seed]
+    task_mode = task_mode_for(cfg.env, "eval")
+    seeds = cfg.eval_seeds if cfg.eval_seeds else [cfg.seed]
     jobs = [(int(s), ep) for s in seeds for ep in range(cfg.eval_episodes)]
 
     def one(job):
@@ -473,11 +478,36 @@ def evaluate(cfg: TrainConfig, policy, task_mode: str | None = None,
     return metrics, detail
 
 
+def _lagrange(env, cfg: TrainConfig, eps_frac: float = 1.0) -> LagrangeState:
+    return LagrangeState(epsilon=env.eps_scalar * eps_frac, kappa=cfg.kappa0,
+                         eta_kappa=cfg.lr_kappa, kappa_d=cfg.kappa_d)
+
+
+def _record(records: list, env, rollouts, infos, steps: int,
+            ls: LagrangeState, expected: float, extra: dict) -> None:
+    """Append one iteration's metrics-log entry."""
+    m = rollout_metrics(env, rollouts, infos)
+    records.append({"iteration": len(records), "env_steps": steps,
+                    "rr": m.rr, "cr": [float(v) for v in m.cr],
+                    "cv": m.cv, "se": m.se, "kappa": ls.kappa,
+                    "kappa_tilde": damped_weight(ls, expected), **extra})
+
+
+def _save_run(out_dir: Path, records: list, policy, model=None) -> dict:
+    """Write a stage's checkpoints and metrics log; returns their paths."""
+    out = {"policy": out_dir / POLICY_FILE, "metrics": out_dir / METRICS_FILE}
+    if model is not None:
+        out["constraint"] = out_dir / CONSTRAINT_FILE
+        model.save(out["constraint"])
+    policy.save(out["policy"])
+    write_metrics(out["metrics"], records)
+    return {**out, "records": records}
+
+
 # ---------------------------------------------------------------------------
 # expert generation
 
-def train_crl(env, cfg: TrainConfig, budget: int, rng, task_mode: str,
-              fixed_task=None) -> tuple:
+def train_crl(env, cfg: TrainConfig, budget: int, rng, task_mode: str) -> tuple:
     """PPO with the true cost rate as the Lagrangian risk signal.
 
     The budget is tightened by expert_eps_frac: a policy optimized onto the
@@ -487,29 +517,21 @@ def train_crl(env, cfg: TrainConfig, budget: int, rng, task_mode: str,
     policy = GaussianPolicy(env.state_dim, env.action_low, env.action_high,
                             cfg.hidden_policy, rng)
     ppo = PpoState(policy, rng, lr=cfg.lr_reward, entropy_beta=cfg.crl_entropy)
-    ls = LagrangeState(epsilon=env.eps_scalar * cfg.expert_eps_frac,
-                       kappa=cfg.kappa0, eta_kappa=cfg.lr_kappa,
-                       kappa_d=cfg.kappa_d)
+    ls = _lagrange(env, cfg, cfg.expert_eps_frac)
     steps = 0
     records = []
-    iteration = 0
     while steps < budget:
         rollouts, infos, got = collect_rollouts(
             env, policy, cfg.n_rollouts, rng, task_mode,
-            budget_left=budget - steps, fixed_task=fixed_task)
+            budget_left=budget - steps)
         steps += got
         risk = np.array([float(t.cost_features.mean(axis=0).sum())
                          for t in rollouts])
         expected = min(1.0, float(risk.mean()))
         ls = update_safety_weight(ls, expected)
         diag = ppo_lagrange_update(policy, rollouts, risk, ls, ppo, rng)
-        m = rollout_metrics(env, rollouts, infos)
-        records.append({"iteration": iteration, "env_steps": steps,
-                        "rr": m.rr, "cr": [float(v) for v in m.cr],
-                        "cv": m.cv, "se": m.se, "kappa": ls.kappa,
-                        "kappa_tilde": damped_weight(ls, expected),
-                        "nan_aborted": bool(diag.get("nan_aborted"))})
-        iteration += 1
+        _record(records, env, rollouts, infos, steps, ls, expected,
+                {"nan_aborted": bool(diag.get("nan_aborted"))})
     return policy, records
 
 
@@ -564,7 +586,7 @@ def _cem_round(policy, evaluate_candidate, n_samp: int,
             "elite_violation": float(viols[order[:n_elite]].sum(axis=1).mean())}
 
 
-def _train_expert_controller(env, cfg: TrainConfig, rng, task_mode: str = "il",
+def _train_expert_controller(env, cfg: TrainConfig, rng, task_mode: str,
                              make_policy=ControllerPolicy,
                              n_gains: int | None = None,
                              episode_tail: bool = False):
@@ -578,6 +600,50 @@ def _train_expert_controller(env, cfg: TrainConfig, rng, task_mode: str = "il",
         _cem_round(policy, evaluate_candidate, cfg.cem_samp, cfg.cem_elite,
                    1e-6, rng)
     return policy
+
+
+def _controller_expert(env, cfg, rng, mode) -> dict:
+    return {None: _train_expert_controller(env, cfg, rng, mode)}
+
+
+def _pump_expert(env, cfg, rng, mode) -> dict:
+    # goal reward is too sparse for the true-cost learner to find from white
+    # noise, so fit the pump controller with the same constrained search the
+    # driving env uses; certification runs n_experts fresh starts, so the
+    # candidate tail needs more than a handful of eval episodes or the elite
+    # parks itself on the line
+    pump_cfg = replace(cfg, cem_eval_episodes=max(cfg.cem_eval_episodes, 16))
+    return {None: _train_expert_controller(env, pump_cfg, rng, mode, PumpPolicy,
+                                           n_gains=2, episode_tail=True)}
+
+
+def _detour_experts(env, cfg, rng, mode) -> dict:
+    # one guidance law per training goal; the observation has no goal in it,
+    # and the scaled step budget is too thin to learn four reaching policies
+    return {tuple(g): DetourPolicy(g, env.cfg["hazard_center"],
+                                   env.cfg["hazard_radius"])
+            for g in env.cfg["train_goals"]}
+
+
+def _crl_expert(env, cfg, rng, mode) -> dict:
+    budget = RECIPES[cfg.env].tl_steps if cfg.expert_steps is None else cfg.expert_steps
+    return {None: train_crl(env, cfg, budget, rng, mode)[0]}
+
+
+RECIPES = {
+    "intersection": Recipe(il_steps=150_000, tl_steps=150_000, n_experts=100,
+                           beta=0.01, delta=0.1, tasks=("il", "meta"),
+                           driving=True, experts=_controller_expert),
+    "mountain_car": Recipe(il_steps=50_000, tl_steps=50_000, n_experts=50,
+                           beta=0.01, delta=0.5, tasks=("tl", "tl"),
+                           driving=False, experts=_pump_expert),
+    "cartpole": Recipe(il_steps=500_000, tl_steps=500_000, n_experts=50,
+                       beta=0.01, delta=0.5, tasks=("tl", "tl"),
+                       driving=False, experts=_crl_expert),
+    "basic_nav": Recipe(il_steps=200_000, tl_steps=500_000, n_experts=50,
+                        beta=1.0, delta=1.0, tasks=("il", "meta"),
+                        driving=False, experts=_detour_experts),
+}
 
 
 def expert_manifest_path(dataset_path) -> Path:
@@ -606,36 +672,8 @@ def generate_experts(cfg: TrainConfig, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     env = make_env(cfg.env, cfg.env_config)
     rng = np.random.default_rng(cfg.seed)
-    budget = cfg.expert_steps
-    if budget is None:
-        budget = TL_TABLE[cfg.env]["env_steps"]
-    mode = "il" if cfg.env in ("basic_nav", "intersection") else "tl"
-
-    if cfg.env == "intersection":
-        controller = _train_expert_controller(env, cfg, rng)
-        policies = {None: controller}
-    elif cfg.env == "mountain_car":
-        # goal reward is too sparse for the true-cost learner to find from
-        # white noise, so fit the pump controller with the same constrained
-        # search the driving env uses; certification below runs n_experts
-        # fresh starts, so the candidate tail needs more than a handful of
-        # eval episodes or the elite parks itself on the line
-        pump_cfg = replace(cfg, cem_eval_episodes=max(cfg.cem_eval_episodes, 16))
-        pump = _train_expert_controller(env, pump_cfg, rng, task_mode=mode,
-                                        make_policy=PumpPolicy, n_gains=2,
-                                        episode_tail=True)
-        policies = {None: pump}
-    elif cfg.env == "basic_nav":
-        # one guidance law per training goal; the observation has no goal in
-        # it, and the scaled step budget is too thin to learn four reaching
-        # policies from scratch
-        policies = {
-            tuple(g): DetourPolicy(g, env.cfg["hazard_center"],
-                                   env.cfg["hazard_radius"])
-            for g in env.cfg["train_goals"]}
-    else:
-        pol, _ = train_crl(env, cfg, budget, rng, mode)
-        policies = {None: pol}
+    mode = task_mode_for(cfg.env, "expert-gen")
+    policies = RECIPES[cfg.env].experts(env, cfg, rng, mode)
 
     trajs, infos = [], []
     for _ in range(cfg.n_experts):
@@ -698,7 +736,7 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
     env = make_env(cfg.env, cfg.env_config)
     rng = np.random.default_rng(cfg.seed)
 
-    driving = cfg.env == "intersection"
+    driving = RECIPES[cfg.env].driving
     if driving:
         model = ConstraintModel(env.state_dim, env.action_dim, mode=THRESHOLD,
                                 n_features=env.cost_dim)
@@ -713,13 +751,11 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
         opt_p = AdamState(policy.params(), cfg.lr_reward)
     opt_c = AdamState(model.params(), cfg.lr_constraint)
     prior = BetaParams(*cfg.prior_alpha)
-    ls = LagrangeState(epsilon=env.eps_scalar, kappa=cfg.kappa0,
-                       eta_kappa=cfg.lr_kappa, kappa_d=cfg.kappa_d)
+    ls = _lagrange(env, cfg)
     tr = TrustRegionConfig(delta=cfg.delta, beta=cfg.beta, k=cfg.k_neighbors)
 
     records = []
     steps_total = 0
-    iteration = 0
     while steps_total < cfg.env_steps:
         rollouts, infos, got = collect_rollouts(
             env, policy, cfg.n_rollouts, rng, "il",
@@ -750,32 +786,16 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
                                                 model.thresholds)
             _cem_round(policy, evaluate_candidate, cfg.cem_samp,
                        cfg.cem_elite, cfg.controller_std_floor, rng)
-            kappa_tilde = damped_weight(ls, expected)
         else:
-            diag = safe_il_policy_step(policy, rollouts, model, lam_pol, tr,
-                                       ls, rng, lr=cfg.lr_reward, opt=opt_p,
-                                       risk_bars=risk_bars,
+            diag = safe_il_policy_step(policy, rollouts, risk_bars, tr, ls,
+                                       rng, lr=cfg.lr_reward, opt=opt_p,
                                        max_particles=cfg.max_particles)
-            kappa_tilde = diag["kappa_tilde"]
             if diag["dkls"]:
                 dkl = float(diag["dkls"][-1])
+        _record(records, env, rollouts, infos, steps_total, ls, expected,
+                {"dkl": dkl, "lambda": lam_pol.lam})
 
-        m = rollout_metrics(env, rollouts, infos)
-        records.append({"iteration": iteration, "env_steps": steps_total,
-                        "rr": m.rr, "cr": [float(v) for v in m.cr],
-                        "cv": m.cv, "se": m.se, "kappa": ls.kappa,
-                        "kappa_tilde": kappa_tilde, "dkl": dkl,
-                        "lambda": lam_pol.lam})
-        iteration += 1
-
-    constraint_path = out_dir / CONSTRAINT_FILE
-    policy_path = out_dir / POLICY_FILE
-    metrics_path = out_dir / METRICS_FILE
-    model.save(constraint_path)
-    policy.save(policy_path)
-    write_metrics(metrics_path, records)
-    return {"constraint": constraint_path, "policy": policy_path,
-            "metrics": metrics_path, "records": records}
+    return _save_run(out_dir, records, policy, model)
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +852,11 @@ def safe_tl(cfg: TrainConfig, constraint_path, policy_path, out_dir) -> dict:
     env = make_env(cfg.env, cfg.env_config)
     rng = np.random.default_rng(cfg.seed)
     model = ConstraintModel.load(constraint_path)
+    driving = RECIPES[cfg.env].driving
+    want = THRESHOLD if driving else PER_STEP_BETA
+    if model.mode != want:
+        raise ConfigError(f"{constraint_path}: {model.mode} constraint given, "
+                          f"but '{cfg.env}' transfers against {want}")
     if model.mode == PER_STEP_BETA and (model.state_dim != env.state_dim
                                         or model.action_dim != env.action_dim):
         raise ConfigError(
@@ -842,12 +867,8 @@ def safe_tl(cfg: TrainConfig, constraint_path, policy_path, out_dir) -> dict:
     lam = RiskLevel(cfg.lam)
     mode = task_mode_for(cfg.env, "safe-tl")
 
-    if cfg.env == "intersection":
-        result = _safe_tl_driving(cfg, env, model, policy_path, lam, mode,
-                                  rng, out_dir)
-    else:
-        result = _safe_tl_control(cfg, env, model, policy_path, lam, mode,
-                                  rng, out_dir)
+    transfer = _safe_tl_driving if driving else _safe_tl_control
+    result = transfer(cfg, env, model, policy_path, lam, mode, rng, out_dir)
 
     for p, q in zip(model.params(), frozen):
         if not np.array_equal(p, q):
@@ -865,11 +886,9 @@ def _safe_tl_control(cfg, env, model, policy_path, lam, mode, rng, out_dir):
         policy = GaussianPolicy(env.state_dim, env.action_low,
                                 env.action_high, cfg.hidden_policy, rng)
     ppo = PpoState(policy, rng, lr=cfg.lr_reward, entropy_beta=cfg.beta)
-    ls = LagrangeState(epsilon=env.eps_scalar, kappa=cfg.kappa0,
-                       eta_kappa=cfg.lr_kappa, kappa_d=cfg.kappa_d)
+    ls = _lagrange(env, cfg)
     records = []
     steps_total = 0
-    iteration = 0
     while steps_total < cfg.env_steps:
         rollouts, infos, got = collect_rollouts(
             env, policy, cfg.n_rollouts, rng, mode,
@@ -884,18 +903,9 @@ def _safe_tl_control(cfg, env, model, policy_path, lam, mode, rng, out_dir):
             ppo_lagrange_update(policy, guarded, risk_bars, ls, ppo, rng)
         if COST_AUDIT.touched:
             raise RuntimeError("true cost was read inside a transfer update")
-        m = rollout_metrics(env, rollouts, infos)
-        records.append({"iteration": iteration, "env_steps": steps_total,
-                        "rr": m.rr, "cr": [float(v) for v in m.cr],
-                        "cv": m.cv, "se": m.se, "kappa": ls.kappa,
-                        "kappa_tilde": damped_weight(ls, expected),
-                        "dkl": 0.0, "lambda": lam.lam})
-        iteration += 1
-    policy_out = out_dir / POLICY_FILE
-    metrics_path = out_dir / METRICS_FILE
-    policy.save(policy_out)
-    write_metrics(metrics_path, records)
-    return {"policy": policy_out, "metrics": metrics_path, "records": records}
+        _record(records, env, rollouts, infos, steps_total, ls, expected,
+                {"dkl": 0.0, "lambda": lam.lam})
+    return _save_run(out_dir, records, policy)
 
 
 def _safe_tl_driving(cfg, env, model, policy_path, lam, mode, rng, out_dir):
@@ -907,11 +917,9 @@ def _safe_tl_driving(cfg, env, model, policy_path, lam, mode, rng, out_dir):
     else:
         policy = ControllerPolicy(np.zeros(env.action_dim),
                                   np.full(env.action_dim, cfg.controller_std0))
-    ls = LagrangeState(epsilon=env.eps_scalar, kappa=cfg.kappa0,
-                       eta_kappa=cfg.lr_kappa, kappa_d=cfg.kappa_d)
+    ls = _lagrange(env, cfg)
     records = []
     counter = [0]
-    iteration = 0
     while counter[0] < cfg.env_steps:
         evaluate_candidate = _cem_objective(env, cfg, rng, mode,
                                             model.thresholds,
@@ -925,18 +933,9 @@ def _safe_tl_driving(cfg, env, model, policy_path, lam, mode, rng, out_dir):
                               for t in rollouts])
         expected = float(risk_bars.mean())
         ls = update_safety_weight(ls, expected)
-        m = rollout_metrics(env, rollouts, infos)
-        records.append({"iteration": iteration, "env_steps": counter[0],
-                        "rr": m.rr, "cr": [float(v) for v in m.cr],
-                        "cv": m.cv, "se": m.se, "kappa": ls.kappa,
-                        "kappa_tilde": damped_weight(ls, expected),
-                        "dkl": 0.0, "lambda": lam.lam})
-        iteration += 1
-    policy_out = out_dir / POLICY_FILE
-    metrics_path = out_dir / METRICS_FILE
-    policy.save(policy_out)
-    write_metrics(metrics_path, records)
-    return {"policy": policy_out, "metrics": metrics_path, "records": records}
+        _record(records, env, rollouts, infos, counter[0], ls, expected,
+                {"dkl": 0.0, "lambda": lam.lam})
+    return _save_run(out_dir, records, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from dial.betarisk import BetaParams, RiskLevel, beta_kl_arr, cvar_arr
+from dial.betarisk import BetaParams, RiskLevel, beta_kl_arr
 from dial.constraint import (
     ConstraintModel,
     Trajectory,
@@ -21,8 +21,8 @@ from dial.constraint import (
     gamma_criterion,
     importance_weights,
     sample_risk_level,
-    step_beta,
 )
+from dial.nets import load_checkpoint, save_checkpoint
 
 
 def make_model(hidden=16, seed=0, **kw):
@@ -56,36 +56,15 @@ def test_step_beta_fresh_init_is_moderate():
     model = make_model(seed=3)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        p = step_beta(model, rng.normal(size=3), rng.normal(size=2))
-        assert 1e-3 <= p.alpha1 <= 10.0
-        assert 1e-3 <= p.alpha2 <= 10.0
+        alphas = model.step_alphas(rng.normal(size=3), rng.normal(size=2))
+        assert alphas.shape == (1, 2)
+        assert np.all((1e-3 <= alphas) & (alphas <= 10.0))
 
 
 def test_step_beta_deterministic_without_noise():
     model = make_model()
-    s, a = np.ones(3), np.ones(2)
-    p1, p2 = step_beta(model, s, a), step_beta(model, s, a)
-    assert p1.alpha1 == p2.alpha1 and p1.alpha2 == p2.alpha2
-
-
-def test_step_beta_gamma_noise_mean_matches_shape():
-    model = constant_alpha_model(2.5, 1.5)
-    model.gamma_noise = True
-    rng = np.random.default_rng(7)
-    draws = np.array([[p.alpha1, p.alpha2] for p in
-                      (step_beta(model, np.zeros(3), np.zeros(2), rng)
-                       for _ in range(100_000))])
-    # Gamma(s, 1) has mean s, var s
-    for j, s in enumerate((2.5, 1.5)):
-        se = math.sqrt(s / len(draws))
-        assert abs(draws[:, j].mean() - s) < 3 * se
-
-
-def test_step_beta_requires_rng_when_noisy():
-    model = make_model()
-    model.gamma_noise = True
-    with pytest.raises(ValueError):
-        step_beta(model, np.zeros(3), np.zeros(2))
+    s, a = np.ones((4, 3)), np.ones((4, 2))
+    assert np.array_equal(model.step_alphas(s, a), model.step_alphas(s, a))
 
 
 # ---------------------------------------------------------------- criterion
@@ -131,16 +110,6 @@ def test_gamma_nonincreasing_in_length():
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_gamma_min_aggregation():
-    model = make_model(seed=13, aggregation="min")
-    rng = np.random.default_rng(4)
-    tau = random_traj(rng, length=6)
-    alphas = model.step_alphas(tau.states, tau.actions)
-    cv = cvar_arr(alphas[:, 0], alphas[:, 1], 0.4)
-    out = gamma_criterion(model, tau, RiskLevel(0.4))
-    assert out.gamma == pytest.approx(float(cv.min()), rel=1e-9)
-
-
 def test_gamma_threshold_mode_hand_values():
     model = ConstraintModel(3, 2, mode="threshold-inference", n_features=4)
     rng = np.random.default_rng(5)
@@ -157,11 +126,6 @@ def test_gamma_threshold_mode_hand_values():
 
 
 def test_gamma_rejects_bad_inputs():
-    model = make_model()
-    rng = np.random.default_rng(0)
-    tau = random_traj(rng)
-    with pytest.raises(ValueError):
-        gamma_criterion(model, tau, RiskLevel(0.5), n_mc=0)
     with pytest.raises(ValueError):
         Trajectory(states=np.zeros((0, 3)), actions=np.zeros((0, 2)),
                    extrinsic_rewards=[], cost_features=np.zeros((0, 4)))
@@ -423,9 +387,17 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         ConstraintModel(3, 2, mode="bogus")
     with pytest.raises(ValueError):
-        ConstraintModel(3, 2, aggregation="bogus")
-    with pytest.raises(ValueError):
         ConstraintModel(3, 2, mode="threshold-inference").step_alphas(
             np.zeros((1, 3)), np.zeros((1, 2)))
     with pytest.raises(ValueError):
         _ = make_model().thresholds
+
+
+def test_load_rejects_other_aggregation(tmp_path):
+    path = tmp_path / "c.ckpt"
+    make_model(hidden=8).save(path)
+    tensors, meta = load_checkpoint(path)
+    assert meta["aggregation"] == "product"
+    save_checkpoint(path, tensors, {**meta, "aggregation": "min"})
+    with pytest.raises(ValueError, match="aggregation 'min'"):
+        ConstraintModel.load(path)

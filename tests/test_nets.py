@@ -15,7 +15,6 @@ from dial.nets import (
     BetaHead,
     GaussianHead,
     Mlp,
-    clip_grads,
     load_checkpoint,
     load_mlp,
     mlp_tensors,
@@ -147,14 +146,6 @@ class TestAdam:
         opt = AdamState([p], lr=1e-3)
         with pytest.raises(ValueError):
             opt.step([p], [np.zeros(3), np.zeros(2)])
-
-    def test_clip_grads(self):
-        g = [np.full(4, 10.0), np.full(2, -10.0)]
-        clipped = clip_grads(g, 1.0)
-        total = math.sqrt(sum(float((x * x).sum()) for x in clipped))
-        assert abs(total - 1.0) < 1e-12
-        small = [np.full(2, 0.1)]
-        assert clip_grads(small, 5.0)[0] is small[0]
 
 
 class TestGaussianHead:

@@ -1,5 +1,6 @@
 """Policy optimization tests: safety weight arithmetic, GAE hand values,
-PPO clip mechanics, the gated entropy loop, and CEM ranking."""
+PPO clip mechanics, the gated entropy loop, and CEM ranking and rounds
+(the rounds live in trainer._cem_round)."""
 
 from __future__ import annotations
 
@@ -11,12 +12,10 @@ import pytest
 from dial.constraint import Trajectory
 from dial.envs import TaskSpec, make_env
 from dial.policyopt import (
-    CemConfig,
     GaussianPolicy,
     LagrangeState,
     PpoState,
     TrustRegionConfig,
-    cem_optimize,
     cem_rank,
     damped_weight,
     gae_advantages,
@@ -24,6 +23,7 @@ from dial.policyopt import (
     safe_il_policy_step,
     update_safety_weight,
 )
+from dial.trainer import ConfigError, ControllerPolicy, TrainConfig, _cem_round
 
 
 # ------------------------------------------------------------ safety weight
@@ -267,11 +267,10 @@ def test_inner_loop_delta_zero_takes_exactly_one_step():
     pol = GaussianPolicy(2, [-1, -1], [1, 1], hidden=16,
                          rng=np.random.default_rng(20))
     rolls = nav_rollouts(4, 10, seed=21)
-    out = safe_il_policy_step(pol, rolls, None, None,
+    out = safe_il_policy_step(pol, rolls, np.zeros(4),
                               TrustRegionConfig(delta=0.0, beta=1.0),
                               LagrangeState(epsilon=0.1, kappa=0.0, kappa_d=0.0),
-                              np.random.default_rng(22), lr=1e-2,
-                              risk_bars=np.zeros(4))
+                              np.random.default_rng(22), lr=1e-2)
     assert out["inner_steps"] == 1
     assert out["dkls"][0] < 1e-10
 
@@ -281,11 +280,10 @@ def test_inner_loop_gates_on_divergence():
                          rng=np.random.default_rng(23))
     rolls = nav_rollouts(6, 20, seed=24)
     delta = 0.02
-    out = safe_il_policy_step(pol, rolls, None, None,
+    out = safe_il_policy_step(pol, rolls, np.zeros(6),
                               TrustRegionConfig(delta=delta, beta=1.0),
                               LagrangeState(epsilon=0.1, kappa=0.0, kappa_d=0.0),
-                              np.random.default_rng(25), lr=0.05,
-                              risk_bars=np.zeros(6))
+                              np.random.default_rng(25), lr=0.05)
     assert 1 <= out["inner_steps"] <= 20
     assert len(out["dkls"]) == out["inner_steps"]
     # every accepted step was taken at an estimate within the region
@@ -296,11 +294,10 @@ def test_inner_loop_raises_weighted_entropy():
     pol = GaussianPolicy(2, [-1, -1], [1, 1], hidden=16,
                          rng=np.random.default_rng(26))
     rolls = nav_rollouts(6, 30, seed=27)
-    out = safe_il_policy_step(pol, rolls, None, None,
+    out = safe_il_policy_step(pol, rolls, np.zeros(6),
                               TrustRegionConfig(delta=5.0, beta=1.0),
                               LagrangeState(epsilon=0.1, kappa=0.0, kappa_d=0.0),
-                              np.random.default_rng(28), lr=0.02,
-                              risk_bars=np.zeros(6))
+                              np.random.default_rng(28), lr=0.02)
     assert out["inner_steps"] >= 5
     assert out["entropies"][-1] > out["entropies"][0]
 
@@ -313,11 +310,10 @@ def test_inner_loop_risk_penalty_downweights_risky_trajectories():
     obs = [t.states for t in rolls]
     araw = [t.actions for t in rolls]
     lp_before = [pol.log_prob(o, a).sum() for o, a in zip(obs, araw)]
-    safe_il_policy_step(pol, rolls, None, None,
+    safe_il_policy_step(pol, rolls, risk,
                         TrustRegionConfig(delta=10.0, beta=0.0),
                         LagrangeState(epsilon=0.1, kappa=5.0, kappa_d=0.0),
-                        np.random.default_rng(31), lr=0.05,
-                        risk_bars=risk)
+                        np.random.default_rng(31), lr=0.05)
     lp_after = [pol.log_prob(o, a).sum() for o, a in zip(obs, araw)]
     gain = np.array(lp_after) - np.array(lp_before)
     assert gain[4:].mean() > gain[:4].mean()
@@ -328,11 +324,10 @@ def test_inner_loop_subsamples_and_is_deterministic():
         pol = GaussianPolicy(2, [-1, -1], [1, 1], hidden=16,
                              rng=np.random.default_rng(32))
         rolls = nav_rollouts(10, 40, seed=33)   # 400 rows > 64 particles
-        safe_il_policy_step(pol, rolls, None, None,
+        safe_il_policy_step(pol, rolls, np.zeros(10),
                             TrustRegionConfig(delta=0.5, beta=1.0),
                             LagrangeState(epsilon=0.1, kappa=0.0, kappa_d=0.0),
-                            np.random.default_rng(34), lr=0.02,
-                            risk_bars=np.zeros(10), max_particles=64)
+                            np.random.default_rng(34), lr=0.02, max_particles=64)
         return [p.copy() for p in pol.params()]
 
     a, b = run(), run()
@@ -354,6 +349,14 @@ def test_cem_rank_all_feasible_by_reward():
     assert list(cem_rank(rewards, viols)) == [1, 2, 0]
 
 
+def run_cem(evaluate, dim, rng, n_iter=5, n_samp=80, n_elite=20, std0=1.0):
+    """n_iter rounds from the origin; returns the policy and round reports."""
+    pol = ControllerPolicy(np.zeros(dim), np.full(dim, std0))
+    history = [_cem_round(pol, evaluate, n_samp, n_elite, 1e-6, rng)
+               for _ in range(n_iter)]
+    return pol, history
+
+
 def test_cem_finds_quadratic_optimum():
     # convergence is measured by objective gap: with 80/20/5 and init std 1
     # the elite-mean sampling noise leaves a point-distance floor of a few
@@ -364,12 +367,11 @@ def test_cem_finds_quadratic_optimum():
         return -float(((x - target) ** 2).sum()), np.zeros(0)
 
     for seed in range(5):
-        cfg = CemConfig(init_mean=np.zeros(5), init_std=np.ones(5))
-        out = cem_optimize(evaluate, cfg, np.random.default_rng(seed))
-        gap = -evaluate(out["mean"])[0]
+        pol, history = run_cem(evaluate, 5, np.random.default_rng(seed))
+        gap = -evaluate(pol.gains)[0]
         assert gap < 1e-2
-        assert np.linalg.norm(out["mean"] - target) < 0.15
-        rs = [h["elite_reward"] for h in out["history"]]
+        assert np.linalg.norm(pol.gains - target) < 0.15
+        rs = [h["elite_reward"] for h in history]
         assert all(b >= a - 1e-9 for a, b in zip(rs, rs[1:]))
 
 
@@ -381,26 +383,23 @@ def test_cem_feasibility_dominates_reward():
         violation = max(0.0, float(x[0]) - 0.5)
         return reward, np.array([violation])
 
-    cfg = CemConfig(init_mean=np.zeros(2), init_std=np.ones(2),
-                    n_samp=80, n_elite=20, n_iter=8)
-    out = cem_optimize(evaluate, cfg, np.random.default_rng(7))
-    assert out["mean"][0] < 0.55
-    assert abs(out["mean"][1] - 2.0) < 0.3
+    pol, _ = run_cem(evaluate, 2, np.random.default_rng(7), n_iter=8)
+    assert pol.gains[0] < 0.55
+    assert abs(pol.gains[1] - 2.0) < 0.3
 
 
 def test_cem_std_floor():
     def evaluate(x):
         return 0.0, np.zeros(1)
 
-    cfg = CemConfig(init_mean=np.zeros(3), init_std=np.full(3, 1e-9),
-                    n_samp=10, n_elite=3, n_iter=2)
-    out = cem_optimize(evaluate, cfg, np.random.default_rng(8))
-    assert np.all(out["std"] >= 1e-6)
+    pol, _ = run_cem(evaluate, 3, np.random.default_rng(8), n_iter=2,
+                     n_samp=10, n_elite=3, std0=1e-9)
+    assert np.all(pol.std >= 1e-6)
 
 
 def test_cem_config_validation():
-    with pytest.raises(ValueError):
-        CemConfig(init_mean=np.zeros(2), init_std=1.0, n_samp=5, n_elite=6)
+    with pytest.raises(ConfigError):
+        TrainConfig(env="basic_nav", stage="eval", cem_samp=5, cem_elite=6)
     with pytest.raises(ValueError):
         TrustRegionConfig(delta=-1.0, beta=0.1)
     with pytest.raises(ValueError):

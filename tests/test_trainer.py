@@ -7,6 +7,7 @@ and reproducibility rather than task performance.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dial.nets import save_checkpoint
 from dial.policyopt import GaussianPolicy
 from dial.trainer import (
     COST_AUDIT,
+    RECIPES,
     ConfigError,
     ControllerPolicy,
     ExpertInfeasibleError,
@@ -39,6 +41,11 @@ from dial.trainer import (
 )
 
 NAV_SMALL = {"horizon": 60}
+# per-env sizes at which every stage runs in about a second
+ENV_SMALL = {"basic_nav": NAV_SMALL, "mountain_car": {"horizon": 60},
+             "cartpole": {"horizon": 60}, "intersection": {"horizon": 40}}
+CEM_SMALL = {"cem_samp": 4, "cem_elite": 2, "cem_iter": 1,
+             "cem_eval_episodes": 1}
 
 
 def nav_cfg(stage, **over):
@@ -111,6 +118,10 @@ class TestTrainConfig:
             TrainConfig(env="basic_nav", stage="eval", cem_samp=10, cem_elite=20)
         with pytest.raises(ConfigError):
             TrainConfig(env="basic_nav", stage="eval", eval_episodes=0)
+        for bad in ({"cem_elite": 0}, {"cem_iter": 0}, {"cem_eval_episodes": 0},
+                    {"k_neighbors": 0}, {"delta": -0.1}, {"kappa0": -1.0}):
+            with pytest.raises(ConfigError):
+                TrainConfig(env="basic_nav", stage="eval", **bad)
 
     def test_dict_round_trip(self):
         cfg = TrainConfig.for_env("cartpole", "safe-tl", seed=5)
@@ -403,6 +414,18 @@ class TestSafeTl:
         with pytest.raises(ConfigError, match="do not match"):
             safe_tl(cfg, il["constraint"], None, tmp_path / "tl_bad")
 
+    def test_mode_mismatch_rejected(self, tmp_path):
+        # checked before the dims, which a threshold model does not carry
+        thr, beta = tmp_path / "thr.ckpt", tmp_path / "beta.ckpt"
+        ConstraintModel(2, 2, mode=THRESHOLD).save(thr)
+        ConstraintModel(2, 2, hidden=8).save(beta)
+        for env_name, path, given in (("basic_nav", thr, THRESHOLD),
+                                      ("intersection", beta, PER_STEP_BETA)):
+            cfg = TrainConfig.for_env(env_name, "safe-tl", env_steps=100,
+                                      n_rollouts=1)
+            with pytest.raises(ConfigError, match=given):
+                safe_tl(cfg, path, None, tmp_path / "tl_bad")
+
     def test_fresh_policy_when_no_warm_start(self, tmp_path):
         il = self._setup(tmp_path)
         cfg = nav_cfg("safe-tl", env_steps=120, n_rollouts=2)
@@ -463,3 +486,74 @@ class TestCostAudit:
         assert np.array_equal(g.states, tau.states)
         assert np.array_equal(g.cost_features, tau.cost_features)
         assert g.task is tau.task
+
+
+@pytest.mark.parametrize("env_name", sorted(RECIPES))
+class TestRecipes:
+    """Every RECIPES row through every stage, at tiny sizes."""
+
+    def test_expert_gen_repeats(self, tmp_path, env_name):
+        cfg = TrainConfig.for_env(env_name, "expert-gen", seed=0, n_experts=3,
+                                  expert_steps=300, env_config=ENV_SMALL[env_name],
+                                  **CEM_SMALL)
+        outcomes = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            try:
+                res = generate_experts(cfg, out)
+                outcomes.append((res["dataset"].read_bytes(),
+                                 res["manifest"].read_bytes()))
+            except ExpertInfeasibleError as exc:
+                assert not list(out.iterdir())
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_stages(self, tmp_path, env_name):
+        ec = ENV_SMALL[env_name]
+        data = write_certified_dataset(tmp_path, make_env(env_name, ec),
+                                       np.random.default_rng(99))
+        mode = THRESHOLD if RECIPES[env_name].driving else PER_STEP_BETA
+
+        def run(tag):
+            il_cfg = TrainConfig.for_env(env_name, "safe-il", seed=3, env_steps=300,
+                                         n_rollouts=2, constraint_steps=2,
+                                         env_config=ec, **CEM_SMALL)
+            il = safe_il(il_cfg, data, tmp_path / tag / "il")
+            assert ConstraintModel.load(il["constraint"]).mode == mode
+            before = hash_file(il["constraint"])
+            tl_cfg = TrainConfig.for_env(env_name, "safe-tl", seed=4, env_steps=300,
+                                         n_rollouts=2, env_config=ec, **CEM_SMALL)
+            tl = safe_tl(tl_cfg, il["constraint"], il["policy"], tmp_path / tag / "tl")
+            assert hash_file(il["constraint"]) == before
+            for cfg, res in ((il_cfg, il), (tl_cfg, tl)):
+                assert res["records"][-1]["env_steps"] >= cfg.env_steps
+            ev_cfg = TrainConfig.for_env(env_name, "eval", seed=5, eval_episodes=3,
+                                         env_config=ec)
+            metrics, detail = evaluate(ev_cfg, load_policy(tl["policy"]))
+            assert len(detail) == 3
+            return ([hash_file(p) for p in (il["constraint"], il["policy"],
+                                            il["metrics"], tl["policy"],
+                                            tl["metrics"])]
+                    + [metrics.to_dict(), detail])
+
+        first = run("a")
+        if env_name == "intersection":
+            assert run("b") == first
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    """perfbench/ patches dial functions by name and builds its workloads'
+    configs through TrainConfig.for_env; both must survive refactors."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import inputs
+    import spans
+    tracer = spans.Tracer(0)
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    from dial import trainer
+    assert callable(trainer.dial_threads)
+    for spec in inputs.WORKLOADS.values():
+        for stage in inputs.STAGES:
+            TrainConfig.for_env(spec["env"], inputs.CFG_STAGE[stage], **spec[stage])
