@@ -25,10 +25,10 @@ from .trainer import (
     ConfigError,
     ExpertInfeasibleError,
     TrainConfig,
+    collect_rollouts,
     evaluate,
     generate_experts,
     load_policy,
-    run_episode,
     safe_il,
     safe_tl,
     sweep_lambda,
@@ -196,10 +196,9 @@ def _cmd_export_visitation_map(args, out_dir: Path) -> tuple:
     policy = load_policy(args.policy)
     rng = np.random.default_rng(cfg.seed)
     mode = task_mode_for(cfg.env, "eval")
+    trajs, _, _ = collect_rollouts(env, policy, cfg.eval_episodes, rng, mode)
     grid = env.grid()
-    for _ in range(cfg.eval_episodes):
-        task = env.sample_task(rng, mode)
-        tau, _ = run_episode(env, policy, task, rng)
+    for tau in trajs:
         grid.add(env.project(tau.states))
     path = out_dir / "visitation_map.csv"
     grid.to_csv(path)

@@ -141,8 +141,7 @@ class KnnGraph:
         self.neighbors = nbr
         self.kth_dist = kth
         # ln V_i, with V_i the volume of the ball reaching the k-th neighbor
-        unit = math.pi ** (self.dim / 2.0) / math.gamma(self.dim / 2.0 + 1.0)
-        self.log_vol = math.log(unit) + self.dim * np.log(kth)
+        self.log_vol = math.log(knn_volume(1.0, self.dim)) + self.dim * np.log(kth)
         self._bias = math.log(k) - digamma(float(k))
 
     def entropy(self) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,11 @@ def budget_from_horizon(cost_limit: float, gamma: float, horizon: int) -> float:
     if cost_limit <= 0.0:
         raise ValueError(f"cost limit must be > 0, got {cost_limit}")
     return (1.0 - gamma) * cost_limit / (1.0 - gamma ** horizon)
+
+
+def wrap_angle(theta):
+    """Angle (scalar or array) wrapped into [-pi, pi)."""
+    return (theta + math.pi) % (2.0 * math.pi) - math.pi
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from .base import Environment, StepResult, TaskSpec, budget_from_horizon, merge_config
+from .base import (Environment, StepResult, TaskSpec, budget_from_horizon, merge_config,
+                   wrap_angle)
 
 DEFAULTS = {
     "gamma": 0.99,
@@ -23,10 +24,6 @@ DEFAULTS = {
     "grid_bins": [20, 20],
     "grid_x_range": 2.4,
 }
-
-
-def wrap_angle(theta):
-    return (theta + math.pi) % (2.0 * math.pi) - math.pi
 
 
 class CartPole(Environment):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Environment, StepResult, TaskSpec, merge_config
+from .base import Environment, StepResult, TaskSpec, merge_config, wrap_angle
 
 DEFAULTS = {
     "gamma": 0.99,
@@ -68,10 +68,6 @@ DEFAULTS = {
 
 ARMS = ("S", "E", "N", "W")
 MOVES = ("left", "straight", "right")
-
-
-def wrap_angle(theta: float) -> float:
-    return (theta + math.pi) % (2.0 * math.pi) - math.pi
 
 
 class Path:
@@ -331,7 +327,7 @@ class IntersectionLite(Environment):
         in_yield_zone = s <= (cfg["spawn_dist"] - cfg["box_half"]
                               + cfg["commit_depth"])
         heads_arr = np.array(heads)
-        hdiff = np.abs((heads_arr - psi + math.pi) % (2.0 * math.pi) - math.pi)
+        hdiff = np.abs(wrap_angle(heads_arr - psi))
         same_dir = hdiff < math.radians(60.0)
         moving = state.speeds > 0.5
         cand = (moving & (d_min < cfg["conflict_radius"])
@@ -409,7 +405,7 @@ class IntersectionLite(Environment):
         rel = others - np.array([x, y])
         dist = np.sqrt((rel ** 2).sum(axis=1))
         angs = np.arctan2(rel[:, 1], rel[:, 0]) - psi
-        angs = np.abs((angs + math.pi) % (2.0 * math.pi) - math.pi)
+        angs = np.abs(wrap_angle(angs))
         cone = math.radians(cfg["headway_cone_deg"])
         headway = bool(np.any((dist < cfg["headway_dist"]) & (angs < cone)))
         _, lat = self._route.project(np.array([x, y]))

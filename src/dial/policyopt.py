@@ -82,14 +82,6 @@ class GaussianPolicy:
         raw = self.net.forward(np.atleast_2d(obs))
         return self.head.log_prob(raw, np.atleast_2d(a_raw))
 
-    def copy(self) -> "GaussianPolicy":
-        dup = GaussianPolicy.__new__(GaussianPolicy)
-        dup.obs_dim = self.obs_dim
-        dup.hidden = self.hidden
-        dup.head = GaussianHead(self.head.low, self.head.high, self.head.std_floor)
-        dup.net = self.net.copy()
-        return dup
-
     def save(self, path) -> None:
         tensors = mlp_tensors(self.net, "pi")
         tensors["pi.low"] = self.head.low
@@ -294,8 +286,7 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
     r_base = returns.mean()
     risk_base = risk_bars.mean()
 
-    old = policy.copy()
-    lp_old = old.log_prob(obs, a_raw)
+    lp_old = policy.log_prob(obs, a_raw)
 
     # inverse neighbor scatter: dH/dw_j = -sum over balls containing j
     inv_idx = graph.neighbors.ravel()

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -63,17 +61,8 @@ class ExpertInfeasibleError(RuntimeError):
 
 
 def dial_threads() -> int:
-    """Worker cap for parallel evaluation, from DIAL_THREADS or core count."""
-    raw = os.environ.get("DIAL_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(f"DIAL_THREADS must be an integer, got '{raw}'")
-        if n < 1:
-            raise ConfigError(f"DIAL_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
+    """Number of threads `evaluate` uses: one, the caller's."""
+    return 1
 
 
 @dataclass(frozen=True)
@@ -176,6 +165,11 @@ class TrainConfig:
                 "cem_elite, cem_iter and cem_eval_episodes must be >= 1")
         if self.k_neighbors < 1:
             raise ConfigError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
+        if self.max_particles <= self.k_neighbors:
+            raise ConfigError(f"max_particles must exceed k_neighbors "
+                              f"({self.k_neighbors}), got {self.max_particles}")
+        if min(self.hidden_policy, self.hidden_constraint) < 1:
+            raise ConfigError("hidden_policy and hidden_constraint must be >= 1")
         if self.delta < 0.0 or self.kappa0 < 0.0:
             raise ConfigError("delta and kappa0 must be >= 0")
         if not 0.0 < self.expert_eps_frac <= 1.0:
@@ -272,9 +266,6 @@ class ControllerPolicy:
 
     def act(self, obs, rng):
         return self.gains, self.gains, 0.0
-
-    def copy(self) -> "ControllerPolicy":
-        return ControllerPolicy(self.gains.copy(), self.std.copy())
 
     def save(self, path) -> None:
         save_checkpoint(path, {"ctrl.gains": self.gains, "ctrl.std": self.std},
@@ -447,34 +438,26 @@ def rollout_metrics(env, rollouts: list, infos: list | None = None) -> Metrics:
 
 
 def evaluate(cfg: TrainConfig, policy) -> tuple:
-    """Metrics over eval_episodes per seed, episodes in parallel workers.
+    """Metrics over eval_episodes per seed, run in order on one env.
 
-    Per-episode generators come from SeedSequence([seed, episode]), so the
-    result is independent of scheduling and worker count.
+    Each episode draws from its own SeedSequence([seed, episode]) stream, so
+    its result does not depend on the episodes run before it.
     """
     task_mode = task_mode_for(cfg.env, "eval")
     seeds = cfg.eval_seeds if cfg.eval_seeds else [cfg.seed]
     jobs = [(int(s), ep) for s in seeds for ep in range(cfg.eval_episodes)]
-
-    def one(job):
-        seed, ep = job
-        env = make_env(cfg.env, cfg.env_config)
+    env = make_env(cfg.env, cfg.env_config)
+    results = []
+    for seed, ep in jobs:
         rng = np.random.default_rng(np.random.SeedSequence([seed, ep]))
-        pol = policy.copy()
-        task = env.sample_task(rng, task_mode)
-        tau, info = run_episode(env, pol, task, rng)
-        return env, tau, info
-
-    with ThreadPoolExecutor(max_workers=min(dial_threads(), len(jobs))) as ex:
-        results = list(ex.map(one, jobs))
-    env0 = results[0][0]
-    metrics = rollout_metrics(env0, [r[1] for r in results],
-                              [r[2] for r in results])
+        results.append(run_episode(env, policy, env.sample_task(rng, task_mode), rng))
+    metrics = rollout_metrics(env, [tau for tau, _ in results],
+                              [info for _, info in results])
     detail = [{"seed": s, "episode": ep,
                "rr": float(tau.extrinsic_rewards.sum()),
                "cr": [float(v) for v in tau.cost_features.sum(axis=0)],
                "len": len(tau), "goal": bool(info.get("goal"))}
-              for (s, ep), (_, tau, info) in zip(jobs, results)]
+              for (s, ep), (tau, info) in zip(jobs, results)]
     return metrics, detail
 
 

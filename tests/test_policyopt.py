@@ -84,13 +84,6 @@ def test_policy_save_load_round_trip(tmp_path):
     assert np.allclose(pol.log_prob(obs, araw), back.log_prob(obs, araw))
 
 
-def test_policy_copy_is_independent():
-    pol = GaussianPolicy(2, [-1.0], [1.0], hidden=8, rng=np.random.default_rng(5))
-    dup = pol.copy()
-    dup.net.biases[2][0] += 1.0
-    assert pol.net.biases[2][0] != dup.net.biases[2][0]
-
-
 # -------------------------------------------------------------------- GAE
 
 def test_gae_hand_computed():

@@ -28,7 +28,6 @@ from dial.trainer import (
     _guarded,
     check_expert_manifest,
     collect_rollouts,
-    dial_threads,
     evaluate,
     expert_manifest_path,
     generate_experts,
@@ -119,7 +118,9 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(env="basic_nav", stage="eval", eval_episodes=0)
         for bad in ({"cem_elite": 0}, {"cem_iter": 0}, {"cem_eval_episodes": 0},
-                    {"k_neighbors": 0}, {"delta": -0.1}, {"kappa0": -1.0}):
+                    {"k_neighbors": 0}, {"delta": -0.1}, {"kappa0": -1.0},
+                    {"max_particles": 4}, {"hidden_policy": 0},
+                    {"hidden_constraint": 0}):
             with pytest.raises(ConfigError):
                 TrainConfig(env="basic_nav", stage="eval", **bad)
 
@@ -135,24 +136,6 @@ class TestTrainConfig:
         assert task_mode_for("intersection", "eval") == "meta"
         assert task_mode_for("mountain_car", "safe-tl") == "tl"
         assert task_mode_for("cartpole", "eval") == "tl"
-
-
-class TestDialThreads:
-    def test_env_var_honored(self, monkeypatch):
-        monkeypatch.setenv("DIAL_THREADS", "3")
-        assert dial_threads() == 3
-
-    def test_default_is_core_count(self, monkeypatch):
-        monkeypatch.delenv("DIAL_THREADS", raising=False)
-        assert dial_threads() >= 1
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("DIAL_THREADS", "many")
-        with pytest.raises(ConfigError):
-            dial_threads()
-        monkeypatch.setenv("DIAL_THREADS", "0")
-        with pytest.raises(ConfigError):
-            dial_threads()
 
 
 class TestMetrics:
@@ -273,13 +256,24 @@ class TestEvaluate:
         assert d1 == d2
         assert m1.to_dict() == m2.to_dict()
 
-    def test_independent_of_worker_count(self, monkeypatch):
-        cfg, pol = self._cfg(), self._policy()
-        monkeypatch.setenv("DIAL_THREADS", "1")
-        _, serial = evaluate(cfg, pol)
-        monkeypatch.setenv("DIAL_THREADS", "4")
-        _, parallel = evaluate(cfg, pol)
-        assert serial == parallel
+    def test_episode_streams(self):
+        """Episode ep of seed s draws only from SeedSequence([s, ep]); a
+        batched evaluate must keep this contract bit for bit."""
+        cfg = nav_cfg("eval", eval_episodes=2, eval_seeds=[1, 2])
+        pol = self._policy()
+        _, detail = evaluate(cfg, pol)
+        env = make_env("basic_nav", NAV_SMALL)
+        mode = task_mode_for("basic_nav", "eval")
+        expect = []
+        for s in (1, 2):
+            for ep in range(2):
+                rng = np.random.default_rng(np.random.SeedSequence([s, ep]))
+                tau, info = run_episode(env, pol, env.sample_task(rng, mode), rng)
+                expect.append({"seed": s, "episode": ep,
+                               "rr": float(tau.extrinsic_rewards.sum()),
+                               "cr": [float(v) for v in tau.cost_features.sum(axis=0)],
+                               "len": len(tau), "goal": bool(info.get("goal"))})
+        assert detail == expect
 
     def test_multi_seed_detail(self):
         cfg = nav_cfg("eval", eval_episodes=2, eval_seeds=[1, 2, 3])
@@ -553,7 +547,7 @@ def test_benchmark_hooks_resolve(monkeypatch):
     finally:
         tracer.uninstall()
     from dial import trainer
-    assert callable(trainer.dial_threads)
+    assert trainer.dial_threads() == 1
     for spec in inputs.WORKLOADS.values():
         for stage in inputs.STAGES:
             TrainConfig.for_env(spec["env"], inputs.CFG_STAGE[stage], **spec[stage])
