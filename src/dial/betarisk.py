@@ -3,9 +3,9 @@
 Feasibility of a state-action step is modelled as a Beta-distributed random
 variable on (0, 1).  This module provides the pieces the rest of the package
 builds on: the regularized incomplete beta function (continued fraction),
-digamma, the lower-tail quantile (value at risk), the closed-form conditional
-value at risk of a Beta variable, and the closed-form KL divergence between
-two Beta distributions.
+digamma and trigamma, the lower-tail quantile (value at risk), the
+closed-form conditional value at risk of a Beta variable with its shape
+partials, and the closed-form KL divergence between two Beta distributions.
 
 Scalar entry points take `BetaParams` / `RiskLevel` and are the documented
 contract.  The `*_arr` functions are the same numerics vectorized over numpy
@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nets import softplus
+
 __all__ = [
     "BetaParams",
     "RiskLevel",
@@ -30,10 +32,12 @@ __all__ = [
     "cvar_lambda",
     "beta_kl",
     "digamma_arr",
+    "trigamma_arr",
     "betainc_arr",
     "beta_pdf_arr",
     "var_arr",
     "cvar_arr",
+    "cvar_grad_arr",
     "beta_kl_arr",
     "beta_mean_arr",
 ]
@@ -122,28 +126,53 @@ def _log_beta_arr(a, b) -> np.ndarray:
     return lgamma_arr(a) + lgamma_arr(b) - lgamma_arr(a + b)
 
 
+def _lift(x, name: str, term):
+    """Checks x > 0 and lifts it above 12 by unit steps.
+
+    Returns the lifted argument and the sum of term over the arguments it
+    stepped through, which is what the recurrences below need.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size and (not np.isfinite(x).all() or (x <= 0.0).any()):
+        raise ValueError(f"{name} requires x > 0")
+    acc = np.zeros_like(x)
+    xx = x.copy()
+    while True:
+        low = xx < 12.0
+        if not low.any():
+            return xx, acc
+        acc[low] += term(xx[low])
+        xx[low] += 1.0
+
+
 def digamma_arr(x) -> np.ndarray:
     """Elementwise digamma for x > 0.
 
     Recurrence psi(x) = psi(x + 1) - 1/x lifts the argument above 12, where
     the asymptotic series in 1/x^2 is accurate to full double precision.
     """
-    x = np.asarray(x, dtype=float)
-    if x.size and (not np.isfinite(x).all() or (x <= 0.0).any()):
-        raise ValueError("digamma requires x > 0")
-    acc = np.zeros_like(x)
-    xx = x.astype(float).copy()
-    while True:
-        low = xx < 12.0
-        if not low.any():
-            break
-        acc[low] -= 1.0 / xx[low]
-        xx[low] += 1.0
+    xx, acc = _lift(x, "digamma", lambda z: -1.0 / z)
     inv = 1.0 / xx
     u = inv * inv
     tail = u * (1.0 / 12.0 - u * (1.0 / 120.0 - u * (1.0 / 252.0 - u * (
         1.0 / 240.0 - u * (1.0 / 132.0 - u * (691.0 / 32760.0))))))
     return acc + np.log(xx) - 0.5 * inv - tail
+
+
+def trigamma_arr(x) -> np.ndarray:
+    """Elementwise trigamma psi'(x) for x > 0.
+
+    The same recurrence, psi'(x) = psi'(x + 1) + 1/x^2, lifts the argument
+    above 12, where the asymptotic series 1/x + 1/(2 x^2) + sum_k B_2k /
+    x^(2k+1), taken to B_12 as in digamma_arr, is accurate to full double
+    precision.
+    """
+    xx, acc = _lift(x, "trigamma", lambda z: 1.0 / (z * z))
+    inv = 1.0 / xx
+    u = inv * inv
+    tail = inv * u * (1.0 / 6.0 - u * (1.0 / 30.0 - u * (1.0 / 42.0 - u * (
+        1.0 / 30.0 - u * (5.0 / 66.0 - u * (691.0 / 2730.0))))))
+    return acc + inv + 0.5 * u + tail
 
 
 def digamma(x: float) -> float:
@@ -249,16 +278,74 @@ def beta_pdf(x: float, p: BetaParams) -> float:
 # ---------------------------------------------------------------------------
 # quantile (value at risk) and conditional value at risk
 
-_BISECT_STEPS = 50          # halves a 1400-wide logit bracket to ~1e-12
-_NEWTON_MAX = 30
+_BRACKET_STEPS = 12         # narrows a 1400-wide logit bracket to ~0.34
+_NEWTON_MAX = 100           # bisection alone reaches the floor in ~40
 _QUANTILE_ATOL = 1e-10
 _LOGIT_SPAN = 700.0         # sigmoid(-700) ~ 1e-304, the edge of normal doubles
 _BRACKET_FLOOR = 1e-12      # logit width at which doubles stop resolving
+_FD_H = 1e-5                # central-difference step of the CVaR partials
 
 
 def _sigmoid(t):
+    # 1 - e / (1 + e) rather than 1 / (1 + e) above 0: it reaches every
+    # double in [1/2, 1), where 1 / (1 + e) skips every other one near 1
     e = np.exp(-np.abs(t))
-    return np.where(t < 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
+    r = e / (1.0 + e)
+    return np.where(t < 0.0, r, 1.0 - r)
+
+
+def _newton_quantile(a, b, lam, lo, hi):
+    """Safeguarded Newton in logit space on rows whose root lies in [lo, hi].
+
+    The slope of the cdf in t is x^a (1 - x)^b / B(a, b), taken from t itself
+    so that it stays exact where x rounds to 1.  A Newton step that leaves the
+    bracket or fails to halve the previous step is replaced by bisection.
+    Only rows not yet converged are iterated.  A row whose cdf residual is
+    within tolerance takes one more Newton step, clipped to its bracket,
+    which costs no cdf evaluation and leaves the residual near rounding.  A row
+    whose bracket is at double resolution (logit width 1e-12, or adjacent
+    doubles in x) returns the bracket's upper end, where the cdf reaches lam.
+    """
+    out = np.empty_like(lam)
+    rows = np.arange(len(lam))
+    log_b = _log_beta_arr(a, b)
+    t = 0.5 * (lo + hi)
+    step = hi - lo
+    for _ in range(_NEWTON_MAX):
+        err = betainc_arr(a, b, _sigmoid(t)) - lam
+        hi = np.where(err > 0.0, t, hi)
+        lo = np.where(err < 0.0, t, lo)
+        slope = np.exp(-a * softplus(-t) - b * softplus(t) - log_b)
+        tn = t - err / np.maximum(slope, _TINY)
+        resolved = np.abs(err) <= _QUANTILE_ATOL
+        x_hi = _sigmoid(hi)
+        unresolvable = ((hi - lo <= _BRACKET_FLOOR)
+                        | (x_hi <= np.nextafter(_sigmoid(lo), 2.0)))
+        done = resolved | unresolvable
+        out[rows[done]] = np.where(
+            resolved, _sigmoid(np.clip(tn, lo, hi)), x_hi)[done]
+        go = ~done
+        if not go.any():
+            return out
+        newton = (tn > lo) & (tn < hi) & (np.abs(tn - t) <= 0.5 * step)
+        tn = np.where(newton, tn, 0.5 * (lo + hi))
+        step = np.abs(tn - t)
+        a, b, lam, log_b, lo, hi, t, step, err, rows = (
+            v[go] for v in (a, b, lam, log_b, lo, hi, tn, step, err, rows))
+    worst = int(np.argmax(np.abs(err)))
+    raise RuntimeError(
+        "quantile inversion did not reach tolerance "
+        f"{_QUANTILE_ATOL:g}: residual {err[worst]:.3e} with logit "
+        f"bracket [{lo[worst]!r}, {hi[worst]!r}] at "
+        f"(alpha1={a[worst]}, alpha2={b[worst]}, lam={lam[worst]})")
+
+
+def _risk_args(a, b, lam):
+    a, b, lam = np.broadcast_arrays(
+        np.asarray(a, float), np.asarray(b, float), np.asarray(lam, float))
+    if lam.size and ((lam <= 0.0) | (lam > 1.0)).any():
+        raise ValueError("risk level must lie in (0, 1]")
+    return a.ravel(), b.ravel(), lam.ravel(), lam.shape
 
 
 def var_arr(a, b, lam) -> np.ndarray:
@@ -266,57 +353,25 @@ def var_arr(a, b, lam) -> np.ndarray:
 
     Solved in logit space, t = log(x / (1 - x)): tiny shape parameters put
     the quantile at scales like 1e-40 where linear bisection stalls, while
-    log(cdf) stays polynomial in t.  Bisection narrows a [-700, 700] bracket,
-    then safeguarded Newton on t (slope pdf(x) x (1 - x)) polishes to 1e-10.
+    log(cdf) stays polynomial in t.  Twelve bisection steps narrow a
+    [-700, 700] bracket, then safeguarded Newton on t polishes past 1e-10.
     A bracket already at double resolution is accepted as converged: there
     the exact quantile sits between adjacent floats or underflows outright.
     lam = 1 short-circuits to the distribution's upper endpoint.
     """
-    a, b, lam = np.broadcast_arrays(
-        np.asarray(a, float), np.asarray(b, float), np.asarray(lam, float))
-    if lam.size and ((lam <= 0.0) | (lam > 1.0)).any():
-        raise ValueError("risk level must lie in (0, 1]")
-    shape = lam.shape
-    af, bf, lf = a.ravel(), b.ravel(), lam.ravel()
-    out = np.empty_like(lf)
-    top = lf >= 1.0
-    out[top] = 1.0
-    solve = ~top
+    af, bf, lf, shape = _risk_args(a, b, lam)
+    out = np.ones_like(lf)
+    solve = lf < 1.0
     if solve.any():
         aa, bb, ll = af[solve], bf[solve], lf[solve]
         lo = np.full_like(ll, -_LOGIT_SPAN)
         hi = np.full_like(ll, _LOGIT_SPAN)
-        for _ in range(_BISECT_STEPS):
+        for _ in range(_BRACKET_STEPS):
             mid = 0.5 * (lo + hi)
             above = betainc_arr(aa, bb, _sigmoid(mid)) >= ll
             hi = np.where(above, mid, hi)
             lo = np.where(above, lo, mid)
-        t = 0.5 * (lo + hi)
-        x = _sigmoid(t)
-        err = betainc_arr(aa, bb, x) - ll
-        for _ in range(_NEWTON_MAX):
-            if np.all((np.abs(err) <= _QUANTILE_ATOL)
-                      | (hi - lo <= _BRACKET_FLOOR)):
-                break
-            hi = np.where(err > 0.0, np.minimum(hi, t), hi)
-            lo = np.where(err < 0.0, np.maximum(lo, t), lo)
-            xc = np.clip(x, _TINY, 1.0 - 1e-16)
-            slope = beta_pdf_arr(aa, bb, xc) * xc * (1.0 - xc)
-            tn = t - err / np.maximum(slope, _TINY)
-            inside = (tn > lo) & (tn < hi)
-            t = np.where(inside, tn, 0.5 * (lo + hi))
-            x = _sigmoid(t)
-            err = betainc_arr(aa, bb, x) - ll
-        else:
-            bad = (np.abs(err) > _QUANTILE_ATOL) & (hi - lo > _BRACKET_FLOOR)
-            if bad.any():
-                worst = int(np.argmax(np.where(bad, np.abs(err), 0.0)))
-                raise RuntimeError(
-                    "quantile inversion did not reach tolerance "
-                    f"{_QUANTILE_ATOL:g}: residual {err[worst]:.3e} with logit "
-                    f"bracket [{lo[worst]!r}, {hi[worst]!r}] at "
-                    f"(alpha1={aa[worst]}, alpha2={bb[worst]}, lam={ll[worst]})")
-        out[solve] = x
+        out[solve] = _newton_quantile(aa, bb, ll, lo, hi)
     return out.reshape(shape)
 
 
@@ -326,31 +381,63 @@ def beta_mean_arr(a, b) -> np.ndarray:
     return a / (a + b)
 
 
+def _tail_mean(a, b, lam, v):
+    # the lower-tail mean can never exceed the full mean; rounding of a
+    # quantile pinned at the upper endpoint could otherwise break that
+    mean = beta_mean_arr(a, b)
+    return np.minimum(mean * betainc_arr(a + 1.0, b, v) / lam, mean)
+
+
 def cvar_arr(a, b, lam) -> np.ndarray:
     """Elementwise lower-tail conditional value at risk of Beta(a, b).
 
     E[Z | Z <= VaR_lam] = mean * I_v(a + 1, b) / lam with v the lam-quantile.
     lam = 1 is exactly the mean, no inversion involved.
     """
-    a, b, lam = np.broadcast_arrays(
-        np.asarray(a, float), np.asarray(b, float), np.asarray(lam, float))
-    if lam.size and ((lam <= 0.0) | (lam > 1.0)).any():
-        raise ValueError("risk level must lie in (0, 1]")
-    shape = lam.shape
-    af, bf, lf = a.ravel(), b.ravel(), lam.ravel()
-    out = np.empty_like(lf)
-    top = lf >= 1.0
-    if top.any():
-        out[top] = beta_mean_arr(af[top], bf[top])
-    tail = ~top
+    af, bf, lf, shape = _risk_args(a, b, lam)
+    out = beta_mean_arr(af, bf)
+    tail = lf < 1.0
     if tail.any():
         aa, bb, ll = af[tail], bf[tail], lf[tail]
-        v = var_arr(aa, bb, ll)
-        mean = beta_mean_arr(aa, bb)
-        # the lower-tail mean can never exceed the full mean; rounding of a
-        # quantile pinned at the upper endpoint could otherwise break that
-        out[tail] = np.minimum(mean * betainc_arr(aa + 1.0, bb, v) / ll, mean)
+        out[tail] = _tail_mean(aa, bb, ll, var_arr(aa, bb, ll))
     return out.reshape(shape)
+
+
+def cvar_grad_arr(a, b, lam) -> tuple:
+    """Elementwise CVaR of Beta(a, b) and its partials in a and in b.
+
+    In Rockafellar-Uryasev form CVaR = max_v v - E[(v - Z)+] / lam, with
+    E[(v - Z)+] = v I_v(a, b) - mean I_v(a + 1, b).  The maximum sits at the
+    lam-quantile, so the shape partials are those of
+    G(a, b) = -(v I_v(a, b) - mean(a, b) I_v(a + 1, b)) / lam with v held
+    fixed: one quantile inversion per row, then central differences of G
+    from eight incomplete beta evaluations.  The value is cvar_arr's, bit
+    for bit.  Where lam = 1, or where the quantile rounds to the upper
+    endpoint and the value is pinned to the mean, the partials are the
+    mean's.
+    """
+    af, bf, lf, shape = _risk_args(a, b, lam)
+    mean = beta_mean_arr(af, bf)
+    cv = mean.copy()
+    s2 = (af + bf) ** 2
+    d_a, d_b = bf / s2, -af / s2
+    tail = np.flatnonzero(lf < 1.0)
+    if tail.size:
+        aa, bb, ll = af[tail], bf[tail], lf[tail]
+        v = var_arr(aa, bb, ll)
+        cv[tail] = _tail_mean(aa, bb, ll, v)
+        free = cv[tail] < mean[tail]
+        rows, aa, bb, ll, v = (x[free] for x in (tail, aa, bb, ll, v))
+        if rows.size:
+            h = _FD_H
+            sa = aa + np.array([[h], [-h], [0.0], [0.0]])
+            sb = bb + np.array([[0.0], [0.0], [h], [-h]])
+            inc = betainc_arr(np.concatenate([sa, sa + 1.0]),
+                              np.concatenate([sb, sb]), v)
+            g = -(v * inc[:4] - beta_mean_arr(sa, sb) * inc[4:]) / ll
+            d_a[rows] = (g[0] - g[1]) / (2.0 * h)
+            d_b[rows] = (g[2] - g[3]) / (2.0 * h)
+    return cv.reshape(shape), d_a.reshape(shape), d_b.reshape(shape)
 
 
 def var_lambda(p: BetaParams, r: RiskLevel) -> float:

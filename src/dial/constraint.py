@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betarisk import BetaParams, RiskLevel, beta_kl_arr, cvar_arr
+from .betarisk import (BetaParams, RiskLevel, beta_kl_arr, cvar_arr, cvar_grad_arr,
+                       trigamma_arr)
 from .nets import AdamState, BetaHead, Mlp, load_checkpoint, load_mlp, mlp_tensors, save_checkpoint
 
 LOG_FLOOR = math.log(1e-30)
-FD_H = 1e-5
 OMEGA_LO, OMEGA_HI = 1e-3, 1e3
 
 PER_STEP_BETA = "per-step-beta"
@@ -210,23 +210,17 @@ def sample_risk_level(rng: np.random.Generator) -> RiskLevel:
 # ---------------------------------------------------------------------------
 # constraint update
 
-def _cvar_and_grads(alphas: np.ndarray, lam: float):
-    """CVaR per row plus central-difference partials in both shape parameters."""
-    a1, a2 = alphas[:, 0], alphas[:, 1]
-    cv = cvar_arr(a1, a2, lam)
-    d1 = (cvar_arr(a1 + FD_H, a2, lam) - cvar_arr(a1 - FD_H, a2, lam)) / (2.0 * FD_H)
-    d2 = (cvar_arr(a1, a2 + FD_H, lam) - cvar_arr(a1, a2 - FD_H, lam)) / (2.0 * FD_H)
-    return cv, d1, d2
-
-
 def _kl_grads(alphas: np.ndarray, prior: BetaParams):
+    """Beta KL to the prior per row plus its partials in both shape parameters.
+
+    d KL / d qa = (qa - pa) psi'(qa) + (pa - qa + pb - qb) psi'(qa + qb),
+    and likewise for qb.
+    """
     a1, a2 = alphas[:, 0], alphas[:, 1]
-    kl = beta_kl_arr(a1, a2, prior.alpha1, prior.alpha2)
-    d1 = (beta_kl_arr(a1 + FD_H, a2, prior.alpha1, prior.alpha2)
-          - beta_kl_arr(a1 - FD_H, a2, prior.alpha1, prior.alpha2)) / (2.0 * FD_H)
-    d2 = (beta_kl_arr(a1, a2 + FD_H, prior.alpha1, prior.alpha2)
-          - beta_kl_arr(a1, a2 - FD_H, prior.alpha1, prior.alpha2)) / (2.0 * FD_H)
-    return kl, d1, d2
+    p1, p2 = prior.alpha1, prior.alpha2
+    kl = beta_kl_arr(a1, a2, p1, p2)
+    both = (p1 - a1 + p2 - a2) * trigamma_arr(a1 + a2)
+    return kl, (a1 - p1) * trigamma_arr(a1) + both, (a2 - p2) * trigamma_arr(a2) + both
 
 
 def _log_gamma_row_grads(cv: np.ndarray):
@@ -278,7 +272,7 @@ def constraint_update(model: ConstraintModel, expert_batch: list, nominal_batch:
 
     Maximizes E_expert[log gamma] - E_nominal[omega * log gamma] while
     descending lr_P/lr_C times the mean Beta KL to the prior. Gradients reach
-    the network by composing central differences of CVaR and KL in the shape
+    the network by composing the CVaR and KL partials in the shape
     parameters with exact backprop. When opt is given it consumes the combined
     gradient (its own lr applies); otherwise plain SGD at lr_C.
     """
@@ -316,7 +310,7 @@ def constraint_update(model: ConstraintModel, expert_batch: list, nominal_batch:
 
     raw = model.net.forward(x)
     alphas = model.head.alphas(raw)
-    cv, dc1, dc2 = _cvar_and_grads(alphas, lam.lam)
+    cv, dc1, dc2 = cvar_grad_arr(alphas[:, 0], alphas[:, 1], lam.lam)
     kl, dk1, dk2 = _kl_grads(alphas, prior)
 
     dalpha = np.zeros_like(alphas)

@@ -748,14 +748,16 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
         # constraint phase: importance weights are taken against the model
         # that was current when this batch was collected
         model_prev = model.copy()
+        aborts = 0
         for _ in range(cfg.constraint_steps):
             lam_c = _policy_lambda(cfg, rng)
-            constraint_update(model,
-                              _draw_batch(experts, cfg.batch_expert, rng),
-                              _draw_batch(rollouts, cfg.batch_nominal, rng),
-                              lam_c, lr_C=cfg.lr_constraint,
-                              lr_P=cfg.lr_prior, prior=prior,
-                              model_prev=model_prev, opt=opt_c)
+            upd = constraint_update(model,
+                                    _draw_batch(experts, cfg.batch_expert, rng),
+                                    _draw_batch(rollouts, cfg.batch_nominal, rng),
+                                    lam_c, lr_C=cfg.lr_constraint,
+                                    lr_P=cfg.lr_prior, prior=prior,
+                                    model_prev=model_prev, opt=opt_c)
+            aborts += upd["nan_aborted"]
 
         lam_pol = _policy_lambda(cfg, rng)
         risk_bars = np.array([gamma_criterion(model, t, lam_pol).gamma_bar
@@ -776,7 +778,8 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
             if diag["dkls"]:
                 dkl = float(diag["dkls"][-1])
         _record(records, env, rollouts, infos, steps_total, ls, expected,
-                {"dkl": dkl, "lambda": lam_pol.lam})
+                {"dkl": dkl, "lambda": lam_pol.lam,
+                 "constraint_aborts": aborts})
 
     return _save_run(out_dir, records, policy, model)
 

@@ -13,6 +13,8 @@ import pytest
 import scipy.integrate
 import scipy.special
 import scipy.stats
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from dial.betarisk import (
     BetaParams,
@@ -23,11 +25,13 @@ from dial.betarisk import (
     beta_pdf,
     betainc_arr,
     cvar_arr,
+    cvar_grad_arr,
     cvar_lambda,
     digamma,
     digamma_arr,
     lgamma_arr,
     log_beta_fn,
+    trigamma_arr,
     var_arr,
     var_lambda,
 )
@@ -46,6 +50,12 @@ def cvar_quadrature(a, b, lam):
             epsabs=1e-13, epsrel=1e-13, limit=400)
     assert err < 1e-9, f"quadrature oracle unreliable at ({a}, {b}, {lam}): err {err}"
     return val / lam
+
+
+def cvar_closed_form(a, b, lam):
+    """Oracle: a / (a + b) * I_v(a + 1, b) / lam at the scipy quantile v."""
+    v = scipy.stats.beta.ppf(lam, a, b)
+    return a / (a + b) * scipy.special.betainc(a + 1.0, b, v) / lam
 
 
 def kl_quadrature(qa, qb, pa, pb):
@@ -117,6 +127,26 @@ class TestSpecialFunctions:
             digamma(0.0)
         with pytest.raises(ValueError):
             digamma(-1.5)
+
+    def test_trigamma_against_scipy(self):
+        rng = np.random.default_rng(13)
+        x = np.concatenate([np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 2000)),
+                            [1e-3, 0.5, 1.0, 11.999, 12.0, 12.001, 1e4]])
+        want = scipy.special.polygamma(1, x)
+        assert np.max(np.abs(trigamma_arr(x) - want) / want) < 1e-14
+
+    def test_trigamma_is_digamma_slope(self):
+        rng = np.random.default_rng(19)
+        x = np.exp(rng.uniform(np.log(0.05), np.log(500.0), 200))
+        h = 1e-5 * x
+        fd = (digamma_arr(x + h) - digamma_arr(x - h)) / (2.0 * h)
+        got = trigamma_arr(x)
+        assert np.max(np.abs(got - fd) / got) < 1e-6
+
+    def test_trigamma_domain(self):
+        for bad in (0.0, -1.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                trigamma_arr(np.array([1.0, bad]))
 
 
 class TestCdf:
@@ -280,6 +310,135 @@ class TestCvar:
             lam = rng.uniform(1e-3, 1.0)
             c = cvar_lambda(p, RiskLevel(lam))
             assert 0.0 < c < 1.0
+
+
+class TestQuantileGuards:
+    # rows on which plain safeguarded Newton, without the fall back to
+    # bisection when a step fails to halve the previous one, ran out of
+    # iterations; the first sits where v is near 1 and x saturates
+    HARD_ROWS = [
+        (22.44, 0.1525, 0.9867),
+        (0.004294788846450215, 0.021968276653848647, 0.9138222696764249),
+        (6.097318503517056, 0.040556419470783, 0.5670763587409073),
+        (344.4696567640235, 0.0034900828755282365, 0.0712757028955171),
+        (1235.9376208167457, 0.07931693045774463, 0.8431321270915402),
+    ]
+
+    def test_cvar_matches_scipy_closed_form(self):
+        rng = np.random.default_rng(83)
+        a = np.exp(rng.uniform(np.log(0.05), np.log(200.0), 600))
+        b = np.exp(rng.uniform(np.log(0.05), np.log(200.0), 600))
+        lam = rng.uniform(1e-3, 0.999, 600)
+        v = scipy.stats.beta.ppf(lam, a, b)
+        # doubles resolve the quantile: the cdf moves by far less than the
+        # tolerance across one float step of v
+        resolvable = (v > 1e-300) & (v < 1.0 - 1e-6)
+        assert resolvable.sum() > 500
+        a, b, lam = a[resolvable], b[resolvable], lam[resolvable]
+        ref = cvar_closed_form(a, b, lam)
+        got = cvar_arr(a, b, lam)
+        assert np.all(np.abs(got - ref) <= 1e-12 + 1e-9 * np.abs(ref))
+
+    def test_wide_sweep_never_raises(self):
+        rng = np.random.default_rng(89)
+        a = np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 5000))
+        b = np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 5000))
+        lam = rng.uniform(1e-3, 0.999, 5000)
+        hard = np.array(self.HARD_ROWS)
+        a = np.concatenate([a, hard[:, 0]])
+        b = np.concatenate([b, hard[:, 1]])
+        lam = np.concatenate([lam, hard[:, 2]])
+        v = var_arr(a, b, lam)
+        assert np.all((v >= 0.0) & (v <= 1.0))
+        cv, d1, d2 = cvar_grad_arr(a, b, lam)
+        assert np.all(np.isfinite(cv) & np.isfinite(d1) & np.isfinite(d2))
+
+    @pytest.mark.parametrize("a, b, lam", HARD_ROWS)
+    def test_hard_rows_one_by_one(self, a, b, lam):
+        v = float(var_arr(a, b, lam))
+        ref = float(scipy.stats.beta.ppf(lam, a, b))
+        if 0.0 < ref < 1.0 - 1e-6:
+            assert abs(v - ref) <= 1e-9 * ref
+        assert 0.0 <= v <= 1.0
+
+
+# rows where the quantile is resolvable and every special function is well
+# conditioned, for comparing partials against a scipy finite difference
+_SHAPE = st.floats(0.5, 20.0)
+_LAM = st.floats(0.01, 0.99)
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                     suppress_health_check=[HealthCheck.filter_too_much])
+
+
+class TestCvarGrad:
+    def test_partials_match_scipy_difference(self):
+        rng = np.random.default_rng(97)
+        a = rng.uniform(0.5, 20.0, 300)
+        b = rng.uniform(0.5, 20.0, 300)
+        lam = rng.uniform(0.01, 0.99, 300)
+        h = 1e-4
+        ref_a = (cvar_closed_form(a + h, b, lam) - cvar_closed_form(a - h, b, lam)) / (2 * h)
+        ref_b = (cvar_closed_form(a, b + h, lam) - cvar_closed_form(a, b - h, lam)) / (2 * h)
+        _, d_a, d_b = cvar_grad_arr(a, b, lam)
+        assert np.all(np.abs(d_a - ref_a) <= 1e-9 + 1e-6 * np.abs(ref_a))
+        assert np.all(np.abs(d_b - ref_b) <= 1e-9 + 1e-6 * np.abs(ref_b))
+
+    def test_value_is_cvar_arr_bit_for_bit(self):
+        rng = np.random.default_rng(101)
+        a = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 400))
+        b = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 400))
+        lam = np.where(rng.uniform(size=400) < 0.2, 1.0, rng.uniform(1e-3, 0.999, 400))
+        cv, _, _ = cvar_grad_arr(a, b, lam)
+        assert np.array_equal(cv, cvar_arr(a, b, lam))
+        # one risk level for the whole batch, as the constraint update calls it
+        cv, _, _ = cvar_grad_arr(a, b, 0.37)
+        assert np.array_equal(cv, cvar_arr(a, b, 0.37))
+
+    def test_mean_partials_at_lam_one_and_where_pinned(self):
+        # Beta(5.134, 0.00652) at 0.668: the quantile rounds to 1, so the
+        # value is pinned to the mean and so are its partials
+        a = np.array([2.0, 0.3, 5.134])
+        b = np.array([3.0, 7.0, 0.00652])
+        lam = np.array([1.0, 1.0, 0.668])
+        cv, d_a, d_b = cvar_grad_arr(a, b, lam)
+        assert float(var_arr(5.134, 0.00652, 0.668)) == 1.0
+        np.testing.assert_array_equal(cv, a / (a + b))
+        np.testing.assert_allclose(d_a, b / (a + b) ** 2, rtol=1e-15)
+        np.testing.assert_allclose(d_b, -a / (a + b) ** 2, rtol=1e-15)
+
+    def test_shapes_broadcast(self):
+        cv, d_a, d_b = cvar_grad_arr(np.full((2, 3), 2.0), 3.0, 0.4)
+        assert cv.shape == d_a.shape == d_b.shape == (2, 3)
+        cv, d_a, d_b = cvar_grad_arr(2.0, 3.0, 0.4)
+        assert cv.shape == d_a.shape == d_b.shape == ()
+        with pytest.raises(ValueError):
+            cvar_grad_arr(2.0, 3.0, 0.0)
+
+    @_PROPERTY
+    @given(_SHAPE, _SHAPE, _LAM)
+    def test_cvar_below_var_below_one(self, a, b, lam):
+        cv, _, _ = cvar_grad_arr(a, b, lam)
+        v = var_arr(a, b, lam)
+        assert cv <= v + 1e-12
+        assert v <= 1.0
+
+    @_PROPERTY
+    @given(_SHAPE, _SHAPE, _LAM, _LAM)
+    def test_nondecreasing_in_lam(self, a, b, lam1, lam2):
+        lo, hi = min(lam1, lam2), max(lam1, lam2)
+        c_lo, c_hi = cvar_arr(a, b, np.array([lo, hi]))
+        assert c_lo <= c_hi + 1e-12
+
+    @_PROPERTY
+    @given(_SHAPE, _SHAPE, _LAM)
+    def test_ru_form_at_solved_quantile_is_cvar(self, a, b, lam):
+        v = float(var_arr(a, b, lam))
+        assume(0.0 < v < 1.0)
+        mean = a / (a + b)
+        ru = v - (v * float(betainc_arr(a, b, v))
+                  - mean * float(betainc_arr(a + 1.0, b, v))) / lam
+        want = float(cvar_arr(a, b, lam))
+        assert abs(ru - want) <= 1e-12 + 1e-10 * abs(want)
 
 
 class TestBetaKl:

@@ -16,6 +16,7 @@ from dial.betarisk import BetaParams, RiskLevel, beta_kl_arr
 from dial.constraint import (
     ConstraintModel,
     Trajectory,
+    _kl_grads,
     constraint_update,
     constraint_values,
     gamma_criterion,
@@ -243,6 +244,30 @@ def test_update_gradient_matches_full_loss_fd():
         g_fd[i] = (lu - ld) / (2 * h)
     scale = max(np.abs(g_fd).max(), 1e-12)
     assert np.abs(g_impl - g_fd).max() / scale < 1e-2
+
+
+def test_kl_partials_match_scipy_and_finite_differences():
+    import scipy.special
+
+    rng = np.random.default_rng(36)
+    alphas = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (300, 2)))
+    a1, a2 = alphas[:, 0], alphas[:, 1]
+    kl, d1, d2 = _kl_grads(alphas, BetaParams(0.1, 0.9))
+    assert np.array_equal(kl, beta_kl_arr(a1, a2, 0.1, 0.9))
+    both = (1.0 - a1 - a2) * scipy.special.polygamma(1, a1 + a2)
+    want1 = (a1 - 0.1) * scipy.special.polygamma(1, a1) + both
+    want2 = (a2 - 0.9) * scipy.special.polygamma(1, a2) + both
+    np.testing.assert_allclose(d1, want1, rtol=1e-11)
+    np.testing.assert_allclose(d2, want2, rtol=1e-11)
+    # central differences of the KL itself, on shapes small enough that the
+    # rounding of its log-gamma terms does not swamp the difference
+    mod = (alphas < 50.0).all(axis=1)
+    a1, a2, d1, d2 = a1[mod], a2[mod], d1[mod], d2[mod]
+    h1, h2 = 1e-6 * a1, 1e-6 * a2
+    fd1 = (beta_kl_arr(a1 + h1, a2, 0.1, 0.9) - beta_kl_arr(a1 - h1, a2, 0.1, 0.9)) / (2 * h1)
+    fd2 = (beta_kl_arr(a1, a2 + h2, 0.1, 0.9) - beta_kl_arr(a1, a2 - h2, 0.1, 0.9)) / (2 * h2)
+    np.testing.assert_allclose(d1, fd1, rtol=1e-5, atol=1e-8)
+    np.testing.assert_allclose(d2, fd2, rtol=1e-5, atol=1e-8)
 
 
 def test_update_identical_batches_reduces_to_prior_term():

@@ -369,6 +369,17 @@ class TestSafeIl:
         assert hash_file(r1["constraint"]) == hash_file(r2["constraint"])
         assert hash_file(r1["policy"]) == hash_file(r2["policy"])
 
+    def test_constraint_aborts_counted_per_iteration(self, tmp_path, monkeypatch):
+        _, res = self._run(tmp_path)
+        assert all(type(rec["constraint_aborts"]) is int and rec["constraint_aborts"] == 0
+                   for rec in res["records"])
+        # every one of an iteration's two constraint steps reports an abort
+        monkeypatch.setattr("dial.trainer.constraint_update",
+                            lambda *args, **kw: {"nan_aborted": True})
+        _, res = self._run(tmp_path, seed=1)
+        assert [rec["constraint_aborts"] for rec in res["records"]] == [2] * len(res["records"])
+        assert all(rec["constraint_aborts"] == 2 for rec in read_metrics(res["metrics"]))
+
     def test_pinned_lambda_mode(self, tmp_path):
         _, res = self._run(tmp_path, lambda_mode="pinned", lam_pinned=1.0)
         assert all(rec["lambda"] == 1.0 for rec in res["records"])
