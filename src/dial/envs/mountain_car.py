@@ -58,7 +58,7 @@ class MountainCar(Environment):
         return np.array([x, 0.0])
 
     def step(self, state: np.ndarray, action) -> StepResult:
-        a = float(np.clip(np.asarray(action).reshape(-1)[0], -1.0, 1.0))
+        a = min(max(float(np.asarray(action).reshape(-1)[0]), -1.0), 1.0)
         x, v = float(state[0]), float(state[1])
         v = v + self.cfg["force"] * a - self.cfg["gravity"] * math.cos(3.0 * x)
         v = min(max(v, -self.cfg["max_speed"]), self.cfg["max_speed"])
@@ -74,6 +74,25 @@ class MountainCar(Environment):
         nxt = np.array([x, v])
         return StepResult(nxt, reward, self.true_cost(nxt), goal,
                           {"goal": goal})
+
+    def step_batch(self, states: np.ndarray, actions: np.ndarray) -> tuple:
+        """step() over state rows (which are also the observations) with one
+        throttle per row, bit for bit; returns (next states, rewards,
+        cost features (n, 1), goal flags)."""
+        c = self.cfg
+        a = np.clip(np.asarray(actions, dtype=float).reshape(-1), -1.0, 1.0)
+        x, v = states[:, 0], states[:, 1]
+        v = v + c["force"] * a - c["gravity"] * np.cos(3.0 * x)
+        v = np.minimum(np.maximum(v, -c["max_speed"]), c["max_speed"])
+        x = x + v
+        wall = x < c["min_position"]
+        x = np.minimum(np.where(wall, c["min_position"], x), c["max_position"])
+        v = np.where(wall, 0.0, v)
+        goal = x >= c["goal_position"]
+        reward = -c["action_penalty"] * a * a
+        reward = np.where(goal, reward + c["goal_reward"], reward)
+        cost = (x < c["red_line"]).astype(float)[:, None]
+        return np.stack([x, v], axis=1), reward, cost, goal
 
     def true_cost(self, state, action=None) -> np.ndarray:
         return np.array([1.0 if float(state[0]) < self.cfg["red_line"] else 0.0])

@@ -306,6 +306,15 @@ class PumpPolicy:
             a = -np.ones(1)
         return a, a, 0.0
 
+    @classmethod
+    def act_batch(cls, gains, obs):
+        """act's throttle (±1) per row of gains and observations."""
+        x, v = obs[..., 0], obs[..., 1]
+        brake_line = cls.BRAKE_MID + gains[..., 0] * cls.BRAKE_SPAN
+        retreat_cap = cls.CAP_MID + gains[..., 1] * cls.CAP_SPAN
+        return np.where((v >= 0.0) | (x <= brake_line) | (v <= -retreat_cap),
+                        1.0, -1.0)
+
 
 class DetourPolicy:
     """Straight-line guidance that swings around a circular no-go disc.
@@ -526,41 +535,78 @@ def _cem_objective(env, cfg: TrainConfig, rng, task_mode: str,
     Violations are positive excesses of per-step feature rates over the
     given thresholds (true budgets for experts, learned ones after).
     episode_tail ranks by the worst episode instead of the batch mean,
-    for searches that face a per-episode certification afterwards.
+    for searches that face a per-episode certification afterwards. An env
+    with step_batch and a policy with act_batch run every candidate x seed
+    episode as one array loop; others run them one by one.
     """
     seeds = [int(rng.integers(2 ** 31 - 1))
              for _ in range(cfg.cem_eval_episodes)]
+    batched = hasattr(env, "step_batch") and hasattr(make_policy, "act_batch")
 
-    def evaluate_candidate(gains):
-        rs, rates = [], []
-        for s in seeds:
-            erng = np.random.default_rng(s)
-            task = env.sample_task(erng, task_mode)
-            tau, _ = run_episode(env, make_policy(gains), task, erng)
-            rs.append(float(tau.extrinsic_rewards.sum()))
-            rates.append(tau.cost_features.mean(axis=0))
-            if count_steps is not None:
-                count_steps[0] += len(tau)
-        agg = np.max(rates, axis=0) if episode_tail else np.mean(rates, axis=0)
-        viol = np.maximum(0.0, agg - thresholds)
-        return float(np.mean(rs)), viol
+    def evaluate_candidates(cand):
+        # episode reward sums and cost rows, candidate-major then seed
+        if batched:
+            rs, costs = _batch_episodes(env, make_policy, cand, seeds, task_mode)
+        else:
+            rs, costs = [], []
+            for gains in cand:
+                for s in seeds:
+                    erng = np.random.default_rng(s)
+                    task = env.sample_task(erng, task_mode)
+                    tau, _ = run_episode(env, make_policy(gains), task, erng)
+                    rs.append(float(tau.extrinsic_rewards.sum()))
+                    costs.append(tau.cost_features)
+        if count_steps is not None:
+            count_steps[0] += sum(map(len, costs))
+        per = len(seeds)
+        rates = np.array([c.mean(axis=0) for c in costs]).reshape(len(cand), per, -1)
+        agg = np.array([np.max(r, axis=0) if episode_tail else np.mean(r, axis=0)
+                        for r in rates])
+        rewards = np.array([np.mean(rs[i:i + per]) for i in range(0, len(rs), per)])
+        return rewards, np.maximum(0.0, agg - thresholds)
 
-    return evaluate_candidate
+    return evaluate_candidates
 
 
-def _cem_round(policy, evaluate_candidate, n_samp: int,
+def _batch_episodes(env, make_policy, cand, seeds, task_mode) -> tuple:
+    """The episodes of _cem_objective run as one loop over state rows.
+
+    Each seed's stream draws only its task and start, so every candidate
+    starts from the same states; a row stops counting at its goal step and
+    the loop at the horizon or once every row has stopped.
+    """
+    starts = []
+    for s in seeds:
+        erng = np.random.default_rng(s)
+        starts.append(env.reset(env.sample_task(erng, task_mode), erng))
+    gains = np.repeat(cand, len(seeds), axis=0)
+    state = np.tile(np.array(starts, dtype=float), (len(cand), 1))
+    rows, horizon = len(gains), env.horizon
+    rewards = np.zeros((rows, horizon))
+    costs = np.zeros((rows, horizon, env.cost_dim))
+    lens = np.full(rows, horizon)
+    live = np.ones(rows, dtype=bool)
+    for t in range(horizon):
+        state, rewards[:, t], costs[:, t], goal = env.step_batch(
+            state, make_policy.act_batch(gains, state))
+        lens[goal & live] = t + 1
+        live &= ~goal
+        if not live.any():
+            break
+    return ([float(r[:n].sum()) for r, n in zip(rewards, lens)],
+            [c[:n] for c, n in zip(costs, lens)])
+
+
+def _cem_round(policy, evaluate_candidates, n_samp: int,
                n_elite: int, std_floor: float, rng) -> dict:
-    """One sample-rank-refit round warm-started at the current gains."""
+    """One sample-rank-refit round warm-started at the current gains.
+
+    evaluate_candidates maps the (n_samp, dims) candidate matrix to mean
+    rewards (n_samp,) and violations (n_samp, k).
+    """
     cand = policy.gains + policy.std * rng.standard_normal(
         (n_samp, policy.gains.size))
-    rewards = np.empty(n_samp)
-    viols = None
-    for i, g in enumerate(cand):
-        r, v = evaluate_candidate(g)
-        if viols is None:
-            viols = np.empty((n_samp, len(np.atleast_1d(v))))
-        rewards[i] = r
-        viols[i] = v
+    rewards, viols = evaluate_candidates(cand)
     order = cem_rank(rewards, viols)
     elite = cand[order[:n_elite]]
     policy.gains = elite.mean(axis=0)
@@ -576,11 +622,11 @@ def _train_expert_controller(env, cfg: TrainConfig, rng, task_mode: str,
     n = env.action_dim if n_gains is None else n_gains
     policy = make_policy(np.zeros(n), np.full(n, cfg.controller_std0))
     thresholds = np.atleast_1d(np.asarray(env.eps, dtype=float)) * cfg.expert_eps_frac
-    evaluate_candidate = _cem_objective(env, cfg, rng, task_mode, thresholds,
-                                        make_policy=make_policy,
-                                        episode_tail=episode_tail)
+    evaluate_candidates = _cem_objective(env, cfg, rng, task_mode, thresholds,
+                                         make_policy=make_policy,
+                                         episode_tail=episode_tail)
     for _ in range(cfg.cem_iter):
-        _cem_round(policy, evaluate_candidate, cfg.cem_samp, cfg.cem_elite,
+        _cem_round(policy, evaluate_candidates, cfg.cem_samp, cfg.cem_elite,
                    1e-6, rng)
     return policy
 
@@ -767,9 +813,9 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
 
         dkl = 0.0
         if driving:
-            evaluate_candidate = _cem_objective(env, cfg, rng, "il",
-                                                model.thresholds)
-            _cem_round(policy, evaluate_candidate, cfg.cem_samp,
+            evaluate_candidates = _cem_objective(env, cfg, rng, "il",
+                                                 model.thresholds)
+            _cem_round(policy, evaluate_candidates, cfg.cem_samp,
                        cfg.cem_elite, cfg.controller_std_floor, rng)
         else:
             diag = safe_il_policy_step(policy, rollouts, risk_bars, tr, ls,
@@ -907,10 +953,10 @@ def _safe_tl_driving(cfg, env, model, policy_path, lam, mode, rng, out_dir):
     records = []
     counter = [0]
     while counter[0] < cfg.env_steps:
-        evaluate_candidate = _cem_objective(env, cfg, rng, mode,
-                                            model.thresholds,
-                                            count_steps=counter)
-        _cem_round(policy, evaluate_candidate, cfg.cem_samp, cfg.cem_elite,
+        evaluate_candidates = _cem_objective(env, cfg, rng, mode,
+                                             model.thresholds,
+                                             count_steps=counter)
+        _cem_round(policy, evaluate_candidates, cfg.cem_samp, cfg.cem_elite,
                    cfg.controller_std_floor, rng)
         rollouts, infos, got = collect_rollouts(env, policy, cfg.n_rollouts,
                                                 rng, mode)

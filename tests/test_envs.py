@@ -125,6 +125,48 @@ def test_mountain_car_reset_range():
         assert -0.6 <= s[0] <= -0.4 and s[1] == 0.0
 
 
+def mountain_car_sweep():
+    """Seeded states and throttles, including out-of-range ones, plus rows
+    that hit the left wall, the right clamp, both speed caps, the goal and
+    land exactly on the red line."""
+    rng = np.random.default_rng(17)
+    n = 4000
+    states = np.column_stack([rng.uniform(-1.3, 0.7, n), rng.uniform(-0.08, 0.08, n)])
+    actions = rng.uniform(-1.5, 1.5, n)
+    # at x = -0.9 with a = 0, v = gravity * cos(3x) cancels to exactly 0
+    on_line = 0.0025 * math.cos(3.0 * -0.9)
+    hand = np.array([[-1.19, -0.07, -1.0], [0.59, 0.07, 1.0], [0.0, 0.069, 1.0],
+                     [-0.5, -0.069, -1.0], [0.44, 0.02, 0.0], [-0.9, on_line, 0.0]])
+    return np.vstack([states, hand[:, :2]]), np.concatenate([actions, hand[:, 2]])
+
+
+def test_mountain_car_step_batch_matches_step():
+    env = make_env("mountain_car")
+    states, actions = mountain_car_sweep()
+    nxt, rewards, costs, goal = env.step_batch(states, actions)
+    for i, (s, a) in enumerate(zip(states, actions)):
+        r = env.step(s, np.array([a]))
+        assert np.array_equal(nxt[i], r.next_state)
+        assert np.array_equal(rewards[i], r.reward)
+        assert np.array_equal(costs[i], r.cost_features)
+        assert goal[i] == r.done
+    # the sweep reaches every branch of the dynamics
+    assert np.any(nxt[:, 0] == -1.2) and np.any(nxt[:, 0] == 0.6)
+    assert np.any(nxt[:, 1] == 0.07) and np.any(nxt[:, 1] == -0.07)
+    assert goal.any() and costs.any()
+    assert nxt[-1, 0] == -0.9 and costs[-1, 0] == 0.0
+
+
+def test_mountain_car_step_clamps_throttle_like_np_clip():
+    env = make_env("mountain_car")
+    s = np.array([-0.5, 0.01])
+    for a in (-3.0, -1.0, -0.25, 0.0, 0.7, 1.0, 2.5, np.inf, -np.inf, np.nan):
+        got = env.step(s, np.array([a]))
+        want = env.step(s, np.clip(np.array([a]), -1.0, 1.0))
+        assert np.array_equal(got.next_state, want.next_state, equal_nan=True)
+        assert np.array_equal(got.reward, want.reward, equal_nan=True)
+
+
 def run_mountain_car_policy(env, seed, act_fn):
     rng = np.random.default_rng(seed)
     s = env.reset(TaskSpec("goal"), rng)

@@ -343,9 +343,11 @@ def test_cem_rank_all_feasible_by_reward():
 
 
 def run_cem(evaluate, dim, rng, n_iter=5, n_samp=80, n_elite=20, std0=1.0):
-    """n_iter rounds from the origin; returns the policy and round reports."""
+    """n_iter rounds from the origin; returns the policy and round reports.
+    evaluate scores one candidate; _cem_round takes the whole matrix."""
     pol = ControllerPolicy(np.zeros(dim), np.full(dim, std0))
-    history = [_cem_round(pol, evaluate, n_samp, n_elite, 1e-6, rng)
+    batch = lambda cand: tuple(map(np.array, zip(*map(evaluate, cand))))
+    history = [_cem_round(pol, batch, n_samp, n_elite, 1e-6, rng)
                for _ in range(n_iter)]
     return pol, history
 

@@ -24,7 +24,9 @@ from dial.trainer import (
     ControllerPolicy,
     ExpertInfeasibleError,
     Metrics,
+    PumpPolicy,
     TrainConfig,
+    _cem_objective,
     _guarded,
     check_expert_manifest,
     collect_rollouts,
@@ -325,6 +327,54 @@ class TestExpertCertification:
         assert man["certified"] is True
         assert man["n_trajectories"] == 3
         assert man["cv"] <= man["cv_limit"]
+
+
+class TestPumpCem:
+    """mountain_car's expert search runs every candidate x seed episode as
+    one array loop; it must rank exactly as one run_episode per pair."""
+
+    @pytest.mark.parametrize("tail", [True, False])
+    def test_batched_objective_matches_episode_loop(self, tail):
+        env = make_env("mountain_car")
+        cfg = TrainConfig.for_env("mountain_car", "expert-gen", cem_eval_episodes=4)
+        thresholds = np.atleast_1d(env.eps) * cfg.expert_eps_frac
+        counter = [0]
+        objective = _cem_objective(env, cfg, np.random.default_rng(5), "tl",
+                                   thresholds, count_steps=counter,
+                                   make_policy=PumpPolicy, episode_tail=tail)
+        cand = np.random.default_rng(6).normal(0.0, 0.8, (10, 2))
+        rewards, viols = objective(cand)
+
+        seed_rng = np.random.default_rng(5)
+        seeds = [int(seed_rng.integers(2 ** 31 - 1)) for _ in range(4)]
+        want_r, want_v, lens = [], [], []
+        for gains in cand:
+            rs, rates = [], []
+            for s in seeds:
+                erng = np.random.default_rng(s)
+                tau, _ = run_episode(env, PumpPolicy(gains),
+                                     env.sample_task(erng, "tl"), erng)
+                rs.append(float(tau.extrinsic_rewards.sum()))
+                rates.append(tau.cost_features.mean(axis=0))
+                lens.append(len(tau))
+            agg = np.max(rates, axis=0) if tail else np.mean(rates, axis=0)
+            want_r.append(float(np.mean(rs)))
+            want_v.append(np.maximum(0.0, agg - thresholds))
+        assert np.array_equal(rewards, want_r)
+        assert np.array_equal(viols, want_v)
+        assert counter[0] == sum(lens)
+        # the candidates cover goals, timeouts and violations
+        assert min(lens) < env.horizon == max(lens)
+        assert np.any(viols > 0.0) and np.any(viols == 0.0)
+
+    def test_expert_gen_repeats_at_benchmark_sizes(self, tmp_path):
+        cfg = TrainConfig.for_env("mountain_car", "expert-gen", seed=700,
+                                  cem_samp=24, cem_elite=4, cem_iter=1,
+                                  controller_std0=0.5)
+        runs = [generate_experts(cfg, tmp_path / tag) for tag in "ab"]
+        assert check_expert_manifest(runs[0]["dataset"])["certified"] is True
+        for key in ("dataset", "manifest"):
+            assert runs[0][key].read_bytes() == runs[1][key].read_bytes()
 
 
 class TestSafeIl:
