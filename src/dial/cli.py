@@ -41,7 +41,7 @@ COMMANDS = ("gen-experts", "train-il", "train-tl", "eval",
 USAGE = """usage: dial <command> [options]
 
 commands:
-  gen-experts            train a true-cost agent and write demonstrations
+  gen-experts            build certified expert controllers, write demonstrations
   train-il               learn the constraint model and exploration policy
   train-tl               optimize a target task under the frozen constraint
   eval                   run evaluation episodes for a policy checkpoint

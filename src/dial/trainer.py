@@ -57,7 +57,7 @@ class ConfigError(ValueError):
 
 
 class ExpertInfeasibleError(RuntimeError):
-    """The trained expert missed its own safety budget; nothing was written."""
+    """The experts' demonstrations missed the safety budget; nothing was written."""
 
 
 def dial_threads() -> int:
@@ -69,12 +69,13 @@ def dial_threads() -> int:
 class Recipe:
     """One environment's row of RECIPES.
 
-    il_steps budgets safe-il, tl_steps safe-tl and the learned expert; beta
-    and delta are safe-il's entropy weight and trust region. tasks names the
-    task family of expert-gen, then of safe-tl and eval (safe-il draws "il").
-    driving swaps the Gaussian policy and per-step Beta model for controller
-    CEM rounds against a threshold constraint. experts(env, cfg, rng, mode)
-    returns the demonstrators as {task goal, or None for any task: policy}.
+    il_steps budgets safe-il and tl_steps safe-tl; beta and delta are
+    safe-il's entropy weight and trust region. tasks names the task family
+    of expert-gen, then of safe-tl and eval (safe-il draws "il"). driving
+    swaps the Gaussian policy and per-step Beta model for controller CEM
+    rounds against a threshold constraint. experts(env, cfg, rng, mode)
+    returns the demonstrators, CEM-searched controllers or closed-form
+    guidance laws, as {task goal, or None for any task: policy}.
     """
 
     il_steps: int
@@ -108,7 +109,6 @@ class TrainConfig:
     env_steps: int = 0
     n_rollouts: int = 20
     n_experts: int = 50
-    expert_steps: int | None = None
     lam: float = 0.5
     lambda_mode: str = "uniform"
     lam_pinned: float = 1.0
@@ -127,7 +127,6 @@ class TrainConfig:
     batch_nominal: int = 10
     hidden_policy: int = 64
     hidden_constraint: int = 64
-    crl_entropy: float = 0.01
     expert_eps_frac: float = 0.5
     safety_margin: float = 1.0
     cem_samp: int = 80
@@ -256,13 +255,17 @@ class Metrics:
 # ---------------------------------------------------------------------------
 # rollout plumbing
 
-class ControllerPolicy:
-    """Deterministic gain vector; the driving env maps it to pedal and wheel."""
+class GainPolicy:
+    """A deterministic gain vector with the per-gain search width of the CEM."""
 
     def __init__(self, gains, std=None):
         self.gains = np.asarray(gains, dtype=float).reshape(-1)
         self.std = (np.ones_like(self.gains) if std is None
                     else np.asarray(std, dtype=float).reshape(-1))
+
+
+class ControllerPolicy(GainPolicy):
+    """Gains as the action; the driving env maps them to pedal and wheel."""
 
     def act(self, obs, rng):
         return self.gains, self.gains, 0.0
@@ -279,7 +282,7 @@ class ControllerPolicy:
         return cls(tensors["ctrl.gains"], tensors["ctrl.std"])
 
 
-class PumpPolicy:
+class PumpPolicy(GainPolicy):
     """Bang-bang energy pump for under-actuated climbs.
 
     Throttle rides the current motion except when retreating past the brake
@@ -290,11 +293,6 @@ class PumpPolicy:
 
     BRAKE_MID, BRAKE_SPAN = -0.35, 0.3
     CAP_MID, CAP_SPAN = 0.035, 0.025
-
-    def __init__(self, gains, std=None):
-        self.gains = np.asarray(gains, dtype=float).reshape(-1)
-        self.std = (np.ones_like(self.gains) if std is None
-                    else np.asarray(std, dtype=float).reshape(-1))
 
     def act(self, obs, rng):
         x, v = float(obs[0]), float(obs[1])
@@ -314,6 +312,22 @@ class PumpPolicy:
         retreat_cap = cls.CAP_MID + gains[..., 1] * cls.CAP_SPAN
         return np.where((v >= 0.0) | (x <= brake_line) | (v <= -retreat_cap),
                         1.0, -1.0)
+
+
+class BalancePolicy(GainPolicy):
+    """Linear state feedback clip(k . obs, -1, 1) for balancing a pole.
+
+    k = MID + SPAN * gains: gains are offsets in scaled units around a gain
+    that already balances from near upright, as PumpPolicy's are.
+    """
+
+    MID = np.array([0.2, 0.4, 1.5, 1.0])
+    SPAN = 0.3
+
+    def act(self, obs, rng):
+        k = self.MID + self.SPAN * self.gains
+        a = np.clip(np.array([float(k @ obs)]), -1.0, 1.0)
+        return a, a, 0.0
 
 
 class DetourPolicy:
@@ -470,8 +484,8 @@ def evaluate(cfg: TrainConfig, policy) -> tuple:
     return metrics, detail
 
 
-def _lagrange(env, cfg: TrainConfig, eps_frac: float = 1.0) -> LagrangeState:
-    return LagrangeState(epsilon=env.eps_scalar * eps_frac, kappa=cfg.kappa0,
+def _lagrange(env, cfg: TrainConfig) -> LagrangeState:
+    return LagrangeState(epsilon=env.eps_scalar, kappa=cfg.kappa0,
                          eta_kappa=cfg.lr_kappa, kappa_d=cfg.kappa_d)
 
 
@@ -498,34 +512,6 @@ def _save_run(out_dir: Path, records: list, policy, model=None) -> dict:
 
 # ---------------------------------------------------------------------------
 # expert generation
-
-def train_crl(env, cfg: TrainConfig, budget: int, rng, task_mode: str) -> tuple:
-    """PPO with the true cost rate as the Lagrangian risk signal.
-
-    The budget is tightened by expert_eps_frac: a policy optimized onto the
-    exact constraint boundary tips over it in a large share of episodes, so
-    demonstrators aim inside it (1.0 recovers the plain reference agent).
-    """
-    policy = GaussianPolicy(env.state_dim, env.action_low, env.action_high,
-                            cfg.hidden_policy, rng)
-    ppo = PpoState(policy, rng, lr=cfg.lr_reward, entropy_beta=cfg.crl_entropy)
-    ls = _lagrange(env, cfg, cfg.expert_eps_frac)
-    steps = 0
-    records = []
-    while steps < budget:
-        rollouts, infos, got = collect_rollouts(
-            env, policy, cfg.n_rollouts, rng, task_mode,
-            budget_left=budget - steps)
-        steps += got
-        risk = np.array([float(t.cost_features.mean(axis=0).sum())
-                         for t in rollouts])
-        expected = min(1.0, float(risk.mean()))
-        ls = update_safety_weight(ls, expected)
-        diag = ppo_lagrange_update(policy, rollouts, risk, ls, ppo, rng)
-        _record(records, env, rollouts, infos, steps, ls, expected,
-                {"nan_aborted": bool(diag.get("nan_aborted"))})
-    return policy, records
-
 
 def _cem_objective(env, cfg: TrainConfig, rng, task_mode: str,
                    thresholds: np.ndarray, count_steps: list | None = None,
@@ -636,11 +622,10 @@ def _controller_expert(env, cfg, rng, mode) -> dict:
 
 
 def _pump_expert(env, cfg, rng, mode) -> dict:
-    # goal reward is too sparse for the true-cost learner to find from white
-    # noise, so fit the pump controller with the same constrained search the
-    # driving env uses; certification runs n_experts fresh starts, so the
-    # candidate tail needs more than a handful of eval episodes or the elite
-    # parks itself on the line
+    # a bang-bang pump found by the same constrained search the driving env
+    # uses; certification runs n_experts fresh starts, so the candidate tail
+    # needs more than a handful of eval episodes or the elite parks itself on
+    # the line
     pump_cfg = replace(cfg, cem_eval_episodes=max(cfg.cem_eval_episodes, 16))
     return {None: _train_expert_controller(env, pump_cfg, rng, mode, PumpPolicy,
                                            n_gains=2, episode_tail=True)}
@@ -654,9 +639,9 @@ def _detour_experts(env, cfg, rng, mode) -> dict:
             for g in env.cfg["train_goals"]}
 
 
-def _crl_expert(env, cfg, rng, mode) -> dict:
-    budget = RECIPES[cfg.env].tl_steps if cfg.expert_steps is None else cfg.expert_steps
-    return {None: train_crl(env, cfg, budget, rng, mode)[0]}
+def _balance_expert(env, cfg, rng, mode) -> dict:
+    return {None: _train_expert_controller(env, cfg, rng, mode, BalancePolicy,
+                                           n_gains=4, episode_tail=True)}
 
 
 RECIPES = {
@@ -668,7 +653,7 @@ RECIPES = {
                            driving=False, experts=_pump_expert),
     "cartpole": Recipe(il_steps=500_000, tl_steps=500_000, n_experts=50,
                        beta=0.01, delta=0.5, tasks=("tl", "tl"),
-                       driving=False, experts=_crl_expert),
+                       driving=False, experts=_balance_expert),
     "basic_nav": Recipe(il_steps=200_000, tl_steps=500_000, n_experts=50,
                         beta=1.0, delta=1.0, tasks=("il", "meta"),
                         driving=False, experts=_detour_experts),
@@ -692,7 +677,7 @@ def check_expert_manifest(dataset_path) -> dict:
 
 
 def generate_experts(cfg: TrainConfig, out_dir) -> dict:
-    """Train a true-cost agent, roll demonstrations, certify, then write.
+    """Build the recipe's experts, roll demonstrations, certify, then write.
 
     Raises ExpertInfeasibleError (writing nothing) when the demonstrations
     break the env budget scaled by safety_margin.
@@ -811,7 +796,7 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
         expected = float(risk_bars.mean())
         ls = update_safety_weight(ls, expected)
 
-        dkl = 0.0
+        dkl, policy_aborted = 0.0, 0
         if driving:
             evaluate_candidates = _cem_objective(env, cfg, rng, "il",
                                                  model.thresholds)
@@ -823,9 +808,10 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
                                        max_particles=cfg.max_particles)
             if diag["dkls"]:
                 dkl = float(diag["dkls"][-1])
+            policy_aborted = int(diag["nan_aborted"])
         _record(records, env, rollouts, infos, steps_total, ls, expected,
                 {"dkl": dkl, "lambda": lam_pol.lam,
-                 "constraint_aborts": aborts})
+                 "constraint_aborts": aborts, "policy_aborted": policy_aborted})
 
     return _save_run(out_dir, records, policy, model)
 
@@ -932,11 +918,12 @@ def _safe_tl_control(cfg, env, model, policy_path, lam, mode, rng, out_dir):
         ls = update_safety_weight(ls, expected)
         guarded = _guarded(rollouts)
         with COST_AUDIT:
-            ppo_lagrange_update(policy, guarded, risk_bars, ls, ppo, rng)
+            diag = ppo_lagrange_update(policy, guarded, risk_bars, ls, ppo, rng)
         if COST_AUDIT.touched:
             raise RuntimeError("true cost was read inside a transfer update")
         _record(records, env, rollouts, infos, steps_total, ls, expected,
-                {"dkl": 0.0, "lambda": lam.lam})
+                {"dkl": 0.0, "lambda": lam.lam,
+                 "policy_aborted": int(diag["nan_aborted"])})
     return _save_run(out_dir, records, policy)
 
 
@@ -966,7 +953,7 @@ def _safe_tl_driving(cfg, env, model, policy_path, lam, mode, rng, out_dir):
         expected = float(risk_bars.mean())
         ls = update_safety_weight(ls, expected)
         _record(records, env, rollouts, infos, counter[0], ls, expected,
-                {"dkl": 0.0, "lambda": lam.lam})
+                {"dkl": 0.0, "lambda": lam.lam, "policy_aborted": 0})
     return _save_run(out_dir, records, policy)
 
 

@@ -12,7 +12,7 @@ from dial.dataio import RunManifest, read_grid_csv, read_metrics
 from dial.trainer import ControllerPolicy
 
 CFG = {"env": "basic_nav", "seed": 3, "env_steps": 150, "n_experts": 3,
-       "expert_steps": 400, "n_rollouts": 2, "constraint_steps": 2,
+       "n_rollouts": 2, "constraint_steps": 2,
        "eval_episodes": 2, "env_config": {"horizon": 60}}
 
 
@@ -91,6 +91,15 @@ class TestConfigErrors:
         assert main(["eval", "--policy", "x.ckpt", "--config", str(bad),
                      "--out-dir", str(tmp_path)]) == 2
         assert "warmup" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["expert_steps", "crl_entropy"])
+    def test_removed_expert_key(self, tmp_path, capsys, key):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"env": "cartpole", key: 300}))
+        assert main(["gen-experts", "--config", str(old),
+                     "--out-dir", str(tmp_path / "exp")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "exp" / "experts.jsonl").exists()
 
     def test_uncertified_experts_rejected(self, tmp_path, chain):
         data = tmp_path / "experts.jsonl"

@@ -20,6 +20,7 @@ from dial.policyopt import GaussianPolicy
 from dial.trainer import (
     COST_AUDIT,
     RECIPES,
+    BalancePolicy,
     ConfigError,
     ControllerPolicy,
     ExpertInfeasibleError,
@@ -102,9 +103,12 @@ class TestTrainConfig:
             TrainConfig.for_env("pendulum", "safe-il")
 
     def test_unknown_keys_listed(self):
-        with pytest.raises(ConfigError, match="learning_rate"):
-            TrainConfig.from_dict({"env": "basic_nav", "stage": "eval",
-                                   "learning_rate": 0.1})
+        # expert_steps and crl_entropy were the knobs of a removed PPO expert;
+        # an old config that still sets them must fail, not pass silently
+        for key in ("learning_rate", "expert_steps", "crl_entropy"):
+            with pytest.raises(ConfigError, match=key):
+                TrainConfig.from_dict({"env": "basic_nav", "stage": "eval",
+                                       key: 0.1})
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -310,7 +314,7 @@ class TestExpertCertification:
     def test_infeasible_expert_writes_nothing(self, tmp_path):
         # hazard parked on the start pad: every episode must violate
         cfg = TrainConfig.for_env(
-            "basic_nav", "expert-gen", seed=0, n_experts=3, expert_steps=400,
+            "basic_nav", "expert-gen", seed=0, n_experts=3,
             env_config={"horizon": 40, "hazard_center": [0.5, 0.5]})
         out = tmp_path / "exp"
         with pytest.raises(ExpertInfeasibleError, match="refusing"):
@@ -320,8 +324,7 @@ class TestExpertCertification:
 
     def test_feasible_expert_writes_manifest(self, tmp_path):
         cfg = TrainConfig.for_env("basic_nav", "expert-gen", seed=0,
-                                  n_experts=3, expert_steps=600,
-                                  env_config=NAV_SMALL)
+                                  n_experts=3, env_config=NAV_SMALL)
         res = generate_experts(cfg, tmp_path / "exp")
         man = check_expert_manifest(res["dataset"])
         assert man["certified"] is True
@@ -377,6 +380,37 @@ class TestPumpCem:
             assert runs[0][key].read_bytes() == runs[1][key].read_bytes()
 
 
+class TestBalanceCem:
+    """cartpole's expert is a CEM-searched linear balancing controller."""
+
+    def test_act_is_clipped_linear_feedback(self):
+        obs = np.array([0.1, -0.2, 0.05, 0.3])
+        a, a_raw, _ = BalancePolicy(np.zeros(4)).act(obs, None)
+        assert a.shape == (1,) and a is a_raw
+        assert a[0] == pytest.approx(float(BalancePolicy.MID @ obs))
+        gains = np.array([1.0, -1.0, 0.5, 2.0])
+        k = BalancePolicy.MID + BalancePolicy.SPAN * gains
+        assert BalancePolicy(gains).act(obs, None)[0][0] == pytest.approx(float(k @ obs))
+        assert BalancePolicy(np.zeros(4)).act(10.0 * np.ones(4), None)[0][0] == 1.0
+        assert BalancePolicy(np.zeros(4)).act(-10.0 * np.ones(4), None)[0][0] == -1.0
+
+    def test_expert_gen_certifies_and_repeats(self, tmp_path):
+        # every seed of 0-39 certifies at these sizes; at 8 x 2 x 1 x 2 nine
+        # of those forty do not
+        sizes = {"cem_samp": 16, "cem_elite": 4, "cem_iter": 1, "cem_eval_episodes": 3}
+        runs = []
+        for seed in range(3):
+            cfg = TrainConfig.for_env("cartpole", "expert-gen", seed=seed, **sizes)
+            assert make_env("cartpole", cfg.env_config).horizon == 400
+            res = generate_experts(cfg, tmp_path / str(seed))
+            assert check_expert_manifest(res["dataset"])["certified"] is True
+            runs.append(res)
+        again = generate_experts(TrainConfig.for_env("cartpole", "expert-gen", seed=0,
+                                                     **sizes), tmp_path / "again")
+        for key in ("dataset", "manifest"):
+            assert again[key].read_bytes() == runs[0][key].read_bytes()
+
+
 class TestSafeIl:
     def _run(self, tmp_path, seed=0, **over):
         env = make_env("basic_nav", NAV_SMALL)
@@ -429,6 +463,17 @@ class TestSafeIl:
         _, res = self._run(tmp_path, seed=1)
         assert [rec["constraint_aborts"] for rec in res["records"]] == [2] * len(res["records"])
         assert all(rec["constraint_aborts"] == 2 for rec in read_metrics(res["metrics"]))
+
+    def test_policy_aborts_logged(self, tmp_path, monkeypatch):
+        _, res = self._run(tmp_path)
+        assert all(type(rec["policy_aborted"]) is int and rec["policy_aborted"] == 0
+                   for rec in res["records"])
+        monkeypatch.setattr("dial.trainer.safe_il_policy_step",
+                            lambda *args, **kw: {"nan_aborted": True,
+                                                 "inner_steps": 0, "dkls": []})
+        _, res = self._run(tmp_path, seed=1)
+        assert [rec["policy_aborted"] for rec in res["records"]] == [1] * len(res["records"])
+        assert all(rec["policy_aborted"] == 1 for rec in read_metrics(res["metrics"]))
 
     def test_pinned_lambda_mode(self, tmp_path):
         _, res = self._run(tmp_path, lambda_mode="pinned", lam_pinned=1.0)
@@ -487,6 +532,19 @@ class TestSafeTl:
         res = safe_tl(cfg, il["constraint"], None, tmp_path / "tl_fresh")
         assert (tmp_path / "tl_fresh" / "policy.ckpt").exists()
         assert res["records"][-1]["env_steps"] >= cfg.env_steps
+
+    def test_policy_aborts_logged(self, tmp_path, monkeypatch):
+        il = self._setup(tmp_path)
+        cfg = nav_cfg("safe-tl", env_steps=120, n_rollouts=2)
+        res = safe_tl(cfg, il["constraint"], il["policy"], tmp_path / "tl_ok")
+        assert all(type(rec["policy_aborted"]) is int and rec["policy_aborted"] == 0
+                   for rec in res["records"])
+        monkeypatch.setattr("dial.trainer.ppo_lagrange_update",
+                            lambda *args, **kw: {"nan_aborted": True,
+                                                 "kappa_tilde": 0.0})
+        res = safe_tl(cfg, il["constraint"], il["policy"], tmp_path / "tl_nan")
+        assert [rec["policy_aborted"] for rec in res["records"]] == [1] * len(res["records"])
+        assert all(rec["policy_aborted"] == 1 for rec in read_metrics(res["metrics"]))
 
     def test_reproducible(self, tmp_path):
         il = self._setup(tmp_path)
@@ -549,8 +607,7 @@ class TestRecipes:
 
     def test_expert_gen_repeats(self, tmp_path, env_name):
         cfg = TrainConfig.for_env(env_name, "expert-gen", seed=0, n_experts=3,
-                                  expert_steps=300, env_config=ENV_SMALL[env_name],
-                                  **CEM_SMALL)
+                                  env_config=ENV_SMALL[env_name], **CEM_SMALL)
         outcomes = []
         for run in ("a", "b"):
             out = tmp_path / run
@@ -582,6 +639,7 @@ class TestRecipes:
             assert hash_file(il["constraint"]) == before
             for cfg, res in ((il_cfg, il), (tl_cfg, tl)):
                 assert res["records"][-1]["env_steps"] >= cfg.env_steps
+                assert all(rec["policy_aborted"] == 0 for rec in res["records"])
             ev_cfg = TrainConfig.for_env(env_name, "eval", seed=5, eval_episodes=3,
                                          env_config=ec)
             metrics, detail = evaluate(ev_cfg, load_policy(tl["policy"]))
