@@ -189,7 +189,12 @@ _CF_MAX_ITER = 300
 
 
 def _betacf(a, b, x):
-    """Continued fraction for I_x(a, b); caller guarantees the convergent region."""
+    """Continued fraction for I_x(a, b); caller guarantees the convergent region.
+
+    A row's convergent stops changing once its own last factor is within
+    _CF_EPS of 1, however long the other rows of the call still iterate, so
+    each row's result is the same bits in any batch.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -207,7 +212,7 @@ def _betacf(a, b, x):
         c = 1.0 + aa / c
         c = np.where(np.abs(c) < _TINY, _TINY, c)
         d = 1.0 / d
-        h = h * d * c
+        h = np.where(done, h, h * d * c)
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
         d = np.where(np.abs(d) < _TINY, _TINY, d)
@@ -215,7 +220,7 @@ def _betacf(a, b, x):
         c = np.where(np.abs(c) < _TINY, _TINY, c)
         d = 1.0 / d
         delta = d * c
-        h = h * delta
+        h = np.where(done, h, h * delta)
         done |= np.abs(delta - 1.0) < _CF_EPS
         if done.all():
             break

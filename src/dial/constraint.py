@@ -53,21 +53,6 @@ class Trajectory:
         return len(self.states)
 
 
-@dataclass(frozen=True)
-class RiskCriterionValue:
-    """Feasibility probability gamma and its complement for one trajectory."""
-
-    gamma: float
-    gamma_bar: float
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if abs(self.gamma + self.gamma_bar - 1.0) > 1e-12:
-            raise ValueError("gamma and gamma_bar must sum to 1")
-
-
 class ConstraintModel:
     """Learnable feasibility model, either per-step Beta or threshold mode.
 
@@ -175,28 +160,35 @@ def _threshold_terms(model: ConstraintModel, tau: Trajectory) -> np.ndarray:
     return np.maximum(1.0 - np.maximum(0.0, rates - model.thresholds), 1e-12)
 
 
-def gamma_criterion(model: ConstraintModel, tau: Trajectory,
-                    lam: RiskLevel) -> RiskCriterionValue:
-    """Feasibility criterion of one trajectory at risk level lam."""
+def gamma_criterion(model: ConstraintModel, taus: list, lam: RiskLevel) -> np.ndarray:
+    """Feasibility criterion gamma of each trajectory at risk level lam.
+
+    Per-step mode runs the network on each trajectory's rows alone, since
+    BLAS rounds a row differently depending on how many rows share the
+    call, then takes every row's CVaR in one cvar_arr call, whose rows never
+    mix.  A trajectory's gamma is the product of its own rows' CVaRs,
+    floored in log space at LOG_FLOOR, and has the same bits in any batch.
+    The expected risk gamma_bar is 1 - gamma.
+    """
     if model.mode == THRESHOLD:
-        terms = _threshold_terms(model, tau)
-        g = math.exp(max(float(np.log(terms).sum()), LOG_FLOOR))
-        return RiskCriterionValue(g, 1.0 - g, lam.lam)
-    alphas = model.step_alphas(tau.states, tau.actions)
+        return np.array([math.exp(max(float(np.log(_threshold_terms(model, t)).sum()),
+                                      LOG_FLOOR)) for t in taus])
+    alphas = np.concatenate([model.step_alphas(t.states, t.actions) for t in taus])
     cv = cvar_arr(alphas[:, 0], alphas[:, 1], lam.lam)
-    g = min(math.exp(max(float(np.log(np.maximum(cv, 1e-300)).sum()), LOG_FLOOR)), 1.0)
-    return RiskCriterionValue(g, 1.0 - g, lam.lam)
+    ends = np.cumsum([len(t) for t in taus])[:-1]
+    return np.array([min(math.exp(max(float(np.log(np.maximum(c, 1e-300)).sum()),
+                                      LOG_FLOOR)), 1.0) for c in np.split(cv, ends)])
 
 
-def importance_weights(model: ConstraintModel, tau: Trajectory,
-                       model_prev: ConstraintModel) -> float:
-    """Likelihood ratio of tau under the current vs previous model, at lam=1."""
-    if model.mode != model_prev.mode:
-        raise ValueError("importance weights need models in the same mode")
-    lam1 = RiskLevel(1.0)
-    g_cur = gamma_criterion(model, tau, lam1).gamma
-    g_prev = gamma_criterion(model_prev, tau, lam1).gamma
-    return float(np.clip(g_cur / g_prev, OMEGA_LO, OMEGA_HI))
+def importance_weights(model: ConstraintModel, taus: list,
+                       prev_gamma: np.ndarray) -> np.ndarray:
+    """Likelihood ratios of taus under the current vs the previous model.
+
+    prev_gamma holds the taus' lam = 1 criterion under the model that was
+    current when they were collected.
+    """
+    g_cur = gamma_criterion(model, taus, RiskLevel(1.0))
+    return np.clip(g_cur / prev_gamma, OMEGA_LO, OMEGA_HI)
 
 
 def sample_risk_level(rng: np.random.Generator) -> RiskLevel:
@@ -266,7 +258,7 @@ def _update_threshold(model, expert_batch, nominal_batch, omegas, lr_C, opt):
 def constraint_update(model: ConstraintModel, expert_batch: list, nominal_batch: list,
                       lam: RiskLevel, lr_C: float = 1e-2, lr_P: float = 1e-2,
                       prior: BetaParams = BetaParams(0.1, 0.9),
-                      model_prev: ConstraintModel | None = None,
+                      prev_gamma: np.ndarray | None = None,
                       opt: AdamState | None = None) -> dict:
     """One ascent step on the expert-vs-nominal criterion gap, KL-regularized.
 
@@ -274,7 +266,9 @@ def constraint_update(model: ConstraintModel, expert_batch: list, nominal_batch:
     descending lr_P/lr_C times the mean Beta KL to the prior. Gradients reach
     the network by composing the CVaR and KL partials in the shape
     parameters with exact backprop. When opt is given it consumes the combined
-    gradient (its own lr applies); otherwise plain SGD at lr_C.
+    gradient (its own lr applies); otherwise plain SGD at lr_C. prev_gamma,
+    the nominal trajectories' lam = 1 criterion under the model they were
+    collected against, turns on importance weighting.
     """
     if not expert_batch or not nominal_batch:
         raise ValueError("need nonempty expert and nominal batches")
@@ -284,11 +278,10 @@ def constraint_update(model: ConstraintModel, expert_batch: list, nominal_batch:
         return {"nan_aborted": True, "loss_expert": float("nan"),
                 "loss_nominal": float("nan"), "kl": float("nan"),
                 "grad_norm": float("nan"), "omegas": []}
-    if model_prev is None:
+    if prev_gamma is None:
         omegas = np.ones(len(nominal_batch))
     else:
-        omegas = np.array([importance_weights(model, tau, model_prev)
-                           for tau in nominal_batch])
+        omegas = importance_weights(model, nominal_batch, prev_gamma)
     if model.mode == THRESHOLD:
         return _update_threshold(model, expert_batch, nominal_batch, omegas, lr_C, opt)
 

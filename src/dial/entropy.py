@@ -6,9 +6,10 @@ current policy's state distribution, and their difference as a divergence
 estimate used to gate trust-region policy steps.  Also the discretized
 visitation grid behind the reported state-entropy metric.
 
-Neighbor search is exact brute force.  Ties are broken by particle index;
-exact duplicate points get a deterministic jitter of 1e-10 times the data
-range before the search so distances stay positive.
+Neighbor search is exact brute force in blocks of _BLOCK rows, so it holds
+O(_BLOCK * M) distances at a time, never the M x M matrix.  Ties are broken
+by particle index; exact duplicate points get a deterministic jitter of
+1e-10 times the data range before the search so distances stay positive.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .betarisk import digamma
 
 _JITTER_SEED = 0x51D3
 _JITTER_SCALE = 1e-10
-_BLOCK = 256
+_BLOCK = 32         # rows per distance block: 0.5 MB at M = 2048, cache-sized
 
 
 @dataclass(frozen=True)
@@ -78,37 +79,41 @@ def knn_volume(radius: float, dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius ** dim
 
 
-def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    # blockwise coordinate differences: exactly translation invariant,
-    # unlike the matmul expansion of the same quantity
+def _knn_block(x: np.ndarray, s: int, e: int, k: int, width: int):
+    """k nearest neighbors of rows s:e of x among all of x, self excluded."""
     m = x.shape[0]
-    out = np.empty((m, m))
-    for s in range(0, m, _BLOCK):
-        e = min(s + _BLOCK, m)
-        diff = x[s:e, None, :] - x[None, :, :]
-        out[s:e] = np.einsum("ijk,ijk->ij", diff, diff)
-    return out
+    d2 = np.zeros((e - s, m))
+    for j in range(x.shape[1]):
+        diff = x[s:e, j, None] - x[None, :, j]
+        d2 += np.square(diff, out=diff)
+    d2[np.arange(e - s), np.arange(s, e)] = np.inf
+    if width == m - 1:
+        cand = np.argsort(d2, axis=1, kind="stable")
+    else:
+        part = np.argpartition(d2, width - 1, axis=1)[:, :width]
+        order = np.lexsort((part, np.take_along_axis(d2, part, axis=1)), axis=1)
+        cand = np.take_along_axis(part, order, axis=1)
+    kth = np.sqrt(np.take_along_axis(d2, cand[:, k - 1 : k], axis=1)[:, 0])
+    return cand[:, :k], kth
 
 
 def _knn_search(x: np.ndarray, k: int):
     """Indices of the k nearest neighbors of each point (self excluded).
 
-    Returns (neighbor_idx int[M][k], kth_dist float[M]).  Candidate ties are
-    ordered by (distance, index).
+    Returns (neighbor_idx int[M][k], kth_dist float[M]).  The k + 8 nearest
+    candidates of a row are ordered by (distance, index); a tie at the k-th
+    distance wider than that keeps the members the partition picked.
+    Squared distances are summed coordinate by coordinate, _BLOCK rows at a
+    time: exactly translation invariant, unlike the matmul expansion of the
+    same quantity, and never more than one block of distances in memory.
     """
     m = x.shape[0]
-    d2 = _pairwise_sq_dists(x)
-    np.fill_diagonal(d2, np.inf)
     width = min(k + 8, m - 1)
-    if width == m - 1:
-        cand = np.argsort(d2, axis=1, kind="stable")[:, : m - 1]
-    else:
-        part = np.argpartition(d2, width - 1, axis=1)[:, :width]
-        cd = np.take_along_axis(d2, part, axis=1)
-        order = np.lexsort((part, cd), axis=1)
-        cand = np.take_along_axis(part, order, axis=1)
-    nbr = cand[:, :k]
-    kth = np.sqrt(np.take_along_axis(d2, nbr[:, k - 1 : k], axis=1)[:, 0])
+    nbr = np.empty((m, k), dtype=np.intp)
+    kth = np.empty(m)
+    for s in range(0, m, _BLOCK):
+        e = min(s + _BLOCK, m)
+        nbr[s:e], kth[s:e] = _knn_block(x, s, e, k, width)
     return nbr, kth
 
 

@@ -723,10 +723,8 @@ def generate_experts(cfg: TrainConfig, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 # safe imitation
 
-def _draw_batch(pool: list, size: int, rng) -> list:
-    size = min(size, len(pool))
-    idx = rng.choice(len(pool), size=size, replace=False)
-    return [pool[i] for i in idx]
+def _draw_batch(n: int, size: int, rng) -> np.ndarray:
+    return rng.choice(n, size=min(size, n), replace=False)
 
 
 def _policy_lambda(cfg: TrainConfig, rng) -> RiskLevel:
@@ -778,21 +776,21 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
 
         # constraint phase: importance weights are taken against the model
         # that was current when this batch was collected
-        model_prev = model.copy()
+        prev_gamma = gamma_criterion(model, rollouts, RiskLevel(1.0))
         aborts = 0
         for _ in range(cfg.constraint_steps):
             lam_c = _policy_lambda(cfg, rng)
-            upd = constraint_update(model,
-                                    _draw_batch(experts, cfg.batch_expert, rng),
-                                    _draw_batch(rollouts, cfg.batch_nominal, rng),
+            ei = _draw_batch(len(experts), cfg.batch_expert, rng)
+            ni = _draw_batch(len(rollouts), cfg.batch_nominal, rng)
+            upd = constraint_update(model, [experts[i] for i in ei],
+                                    [rollouts[i] for i in ni],
                                     lam_c, lr_C=cfg.lr_constraint,
                                     lr_P=cfg.lr_prior, prior=prior,
-                                    model_prev=model_prev, opt=opt_c)
+                                    prev_gamma=prev_gamma[ni], opt=opt_c)
             aborts += upd["nan_aborted"]
 
         lam_pol = _policy_lambda(cfg, rng)
-        risk_bars = np.array([gamma_criterion(model, t, lam_pol).gamma_bar
-                              for t in rollouts])
+        risk_bars = 1.0 - gamma_criterion(model, rollouts, lam_pol)
         expected = float(risk_bars.mean())
         ls = update_safety_weight(ls, expected)
 
@@ -912,8 +910,7 @@ def _safe_tl_control(cfg, env, model, policy_path, lam, mode, rng, out_dir):
             env, policy, cfg.n_rollouts, rng, mode,
             budget_left=cfg.env_steps - steps_total)
         steps_total += got
-        risk_bars = np.array([gamma_criterion(model, t, lam).gamma_bar
-                              for t in rollouts])
+        risk_bars = 1.0 - gamma_criterion(model, rollouts, lam)
         expected = float(risk_bars.mean())
         ls = update_safety_weight(ls, expected)
         guarded = _guarded(rollouts)
@@ -948,8 +945,7 @@ def _safe_tl_driving(cfg, env, model, policy_path, lam, mode, rng, out_dir):
         rollouts, infos, got = collect_rollouts(env, policy, cfg.n_rollouts,
                                                 rng, mode)
         counter[0] += got
-        risk_bars = np.array([gamma_criterion(model, t, lam).gamma_bar
-                              for t in rollouts])
+        risk_bars = 1.0 - gamma_criterion(model, rollouts, lam)
         expected = float(risk_bars.mean())
         ls = update_safety_weight(ls, expected)
         _record(records, env, rollouts, infos, counter[0], ls, expected,

@@ -75,9 +75,9 @@ def test_gamma_uniform_steps_power_law():
     rng = np.random.default_rng(0)
     for length in (1, 3, 7):
         tau = random_traj(rng, length=length)
-        out = gamma_criterion(model, tau, RiskLevel(1.0))
-        assert out.gamma == pytest.approx(0.5 ** length, rel=1e-9)
-        assert out.gamma_bar == pytest.approx(1.0 - 0.5 ** length, rel=1e-9)
+        out = gamma_criterion(model, [tau], RiskLevel(1.0))[0]
+        assert out == pytest.approx(0.5 ** length, rel=1e-9)
+        assert 1.0 - out == pytest.approx(1.0 - 0.5 ** length, rel=1e-9)
 
 
 def test_gamma_lambda_one_is_product_of_means():
@@ -86,15 +86,15 @@ def test_gamma_lambda_one_is_product_of_means():
     tau = random_traj(rng, length=6)
     alphas = model.step_alphas(tau.states, tau.actions)
     means = alphas[:, 0] / (alphas[:, 0] + alphas[:, 1])
-    out = gamma_criterion(model, tau, RiskLevel(1.0))
-    assert out.gamma == pytest.approx(float(np.prod(means)), rel=1e-9)
+    out = gamma_criterion(model, [tau], RiskLevel(1.0))[0]
+    assert out == pytest.approx(float(np.prod(means)), rel=1e-9)
 
 
 def test_gamma_monotone_in_lambda():
     model = make_model(seed=9)
     rng = np.random.default_rng(2)
     tau = random_traj(rng, length=5)
-    vals = [gamma_criterion(model, tau, RiskLevel(l)).gamma
+    vals = [gamma_criterion(model, [tau], RiskLevel(l))[0]
             for l in (0.05, 0.2, 0.5, 0.8, 1.0)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -107,7 +107,7 @@ def test_gamma_nonincreasing_in_length():
     for L in (2, 4, 6, 8):
         sub = Trajectory(tau.states[:L], tau.actions[:L],
                          tau.extrinsic_rewards[:L], tau.cost_features[:L])
-        vals.append(gamma_criterion(model, sub, RiskLevel(0.5)).gamma)
+        vals.append(gamma_criterion(model, [sub], RiskLevel(0.5))[0])
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -117,13 +117,31 @@ def test_gamma_threshold_mode_hand_values():
     tau = random_traj(rng, length=10)
     # logits 0 -> thresholds 0.5; push one feature's rate above it
     tau.cost_features[:] = 0.0
-    assert gamma_criterion(model, tau, RiskLevel(0.5)).gamma == 1.0
+    assert gamma_criterion(model, [tau], RiskLevel(0.5))[0] == 1.0
     tau.cost_features[:, 0] = 1.0  # rate 1.0, excess 0.5
-    out = gamma_criterion(model, tau, RiskLevel(0.5))
-    assert out.gamma == pytest.approx(0.5, rel=1e-12)
+    out = gamma_criterion(model, [tau], RiskLevel(0.5))[0]
+    assert out == pytest.approx(0.5, rel=1e-12)
     tau.cost_features[:7, 1] = 1.0  # rate 0.7, excess 0.2
-    out = gamma_criterion(model, tau, RiskLevel(0.5))
-    assert out.gamma == pytest.approx(0.5 * 0.8, rel=1e-12)
+    out = gamma_criterion(model, [tau], RiskLevel(0.5))[0]
+    assert out == pytest.approx(0.5 * 0.8, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["per-step-beta", "threshold-inference"])
+@pytest.mark.parametrize("lam", [1.0, 0.37])
+def test_gamma_batch_equals_single_calls(mode, lam):
+    # one forward and one cvar_arr call over every row, sliced per trajectory
+    model = ConstraintModel(3, 2, hidden=16, mode=mode,
+                            rng=np.random.default_rng(13))
+    if mode == "threshold-inference":
+        model.logits[:] = [-1.0, -0.5, 0.2, 0.0]
+    rng = np.random.default_rng(14)
+    taus = [random_traj(rng, length=n) for n in (1, 7, 3, 40, 2, 11)]
+    whole = gamma_criterion(model, taus, RiskLevel(lam))
+    singles = [gamma_criterion(model, [t], RiskLevel(lam))[0] for t in taus]
+    assert whole.shape == (6,)
+    assert np.array_equal(whole, singles)
+    assert np.array_equal(gamma_criterion(model, taus[::-1], RiskLevel(lam)),
+                          whole[::-1])
 
 
 def test_gamma_rejects_bad_inputs():
@@ -144,7 +162,8 @@ def test_importance_weight_identity_and_ratio():
     model = make_model(seed=1)
     rng = np.random.default_rng(6)
     tau = random_traj(rng)
-    assert importance_weights(model, tau, model.copy()) == pytest.approx(1.0)
+    prev = gamma_criterion(model.copy(), [tau], RiskLevel(1.0))
+    assert importance_weights(model, [tau], prev)[0] == pytest.approx(1.0)
 
 
 def test_importance_weight_hand_ratio_and_clip():
@@ -156,20 +175,24 @@ def test_importance_weight_hand_ratio_and_clip():
     tau.cost_features[:] = 1.0
     cur.logits[:] = 0.0        # threshold 0.5 -> gamma 0.5
     prev.logits[:] = np.log(3)  # threshold 0.75 -> gamma 0.75
-    w = importance_weights(cur, tau, prev)
+    def gamma1(model):
+        return gamma_criterion(model, [tau], RiskLevel(1.0))
+
+    w = importance_weights(cur, [tau], gamma1(prev))[0]
     assert w == pytest.approx(0.5 / 0.75, rel=1e-9)
     prev.logits[:] = 20.0      # threshold ~1 -> gamma ~1
     cur.logits[:] = -20.0      # threshold ~0 -> gamma ~2e-9: ratio clips low
-    assert importance_weights(cur, tau, prev) == pytest.approx(1e-3)
-    assert importance_weights(prev, tau, cur) == pytest.approx(1e3)
+    assert importance_weights(cur, [tau], gamma1(prev))[0] == pytest.approx(1e-3)
+    assert importance_weights(prev, [tau], gamma1(cur))[0] == pytest.approx(1e3)
 
 
-def test_importance_weight_mode_mismatch():
-    a = make_model()
-    b = ConstraintModel(3, 2, mode="threshold-inference")
+def test_importance_weight_length_mismatch():
+    # one previous-model criterion value per trajectory, or a loud failure
+    model = make_model()
     rng = np.random.default_rng(0)
+    taus = [random_traj(rng), random_traj(rng)]
     with pytest.raises(ValueError):
-        importance_weights(a, random_traj(rng), b)
+        importance_weights(model, taus, np.ones(3))
 
 
 # ------------------------------------------------------------- risk sampling
@@ -200,9 +223,9 @@ def set_flat(model, vec):
 
 def full_loss(model, expert, nominal, lam, ratio, prior):
     # independent reassembly of the objective the update ascends
-    le = np.mean([math.log(max(gamma_criterion(model, t, lam).gamma, 1e-300))
+    le = np.mean([math.log(max(gamma_criterion(model, [t], lam)[0], 1e-300))
                   for t in expert])
-    ln = np.mean([math.log(max(gamma_criterion(model, t, lam).gamma, 1e-300))
+    ln = np.mean([math.log(max(gamma_criterion(model, [t], lam)[0], 1e-300))
                   for t in nominal])
     rows = np.concatenate(
         [model.step_alphas(t.states, t.actions) for t in expert + nominal])
@@ -311,15 +334,15 @@ def test_update_separates_expert_from_nominal():
     lam = RiskLevel(0.5)
 
     def gap():
-        ge = np.mean([gamma_criterion(model, t, lam).gamma for t in expert])
-        gn = np.mean([gamma_criterion(model, t, lam).gamma for t in nominal])
+        ge = np.mean([gamma_criterion(model, [t], lam)[0] for t in expert])
+        gn = np.mean([gamma_criterion(model, [t], lam)[0] for t in nominal])
         return ge - gn
 
     g0 = gap()
-    prev = model.copy()
+    prev_gamma = gamma_criterion(model, nominal, RiskLevel(1.0))
     for _ in range(60):
         constraint_update(model, expert, nominal, RiskLevel(0.5),
-                          model_prev=prev)
+                          prev_gamma=prev_gamma)
     assert gap() > g0 + 0.2
 
 
@@ -378,7 +401,7 @@ def test_constraint_values_matches_single_steps():
         tau = Trajectory(states=obs[i:i + 1], actions=np.zeros((1, 2)),
                          extrinsic_rewards=[0.0], cost_features=np.zeros((1, 4)))
         assert out[i] == pytest.approx(
-            gamma_criterion(model, tau, RiskLevel(0.3)).gamma_bar, rel=1e-9)
+            1.0 - gamma_criterion(model, [tau], RiskLevel(0.3))[0], rel=1e-9)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -392,8 +415,8 @@ def test_save_load_round_trip(tmp_path):
         model.save(path)
         back = ConstraintModel.load(path)
         tau = random_traj(rng)
-        a = gamma_criterion(model, tau, RiskLevel(0.6)).gamma
-        b = gamma_criterion(back, tau, RiskLevel(0.6)).gamma
+        a = gamma_criterion(model, [tau], RiskLevel(0.6))[0]
+        b = gamma_criterion(back, [tau], RiskLevel(0.6))[0]
         assert a == b
         # parameters byte-identical through a save/load/save cycle
         path2 = tmp_path / f"{mode}2.ckpt"

@@ -6,11 +6,13 @@ vectorized implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
 
+from dial import entropy
 from dial.entropy import (
     ImportanceWeightSet,
     KnnGraph,
@@ -56,6 +58,18 @@ def oracle_iw_knn_entropy(x, w, k):
         if big > 0.0:
             acc += (big / k) * math.log(big / v)
     return -acc + math.log(k) - scipy.special.digamma(k)
+
+
+def full_matrix_knn(x, k):
+    """The whole M x M squared-distance matrix, self excluded, each row
+    sorted stably so that ties keep index order: (neighbor idx, kth dist)."""
+    m = len(x)
+    d2 = np.zeros((m, m))
+    for j in range(x.shape[1]):
+        d2 += (x[:, j, None] - x[None, :, j]) ** 2
+    np.fill_diagonal(d2, np.inf)
+    nbr = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return nbr, np.sqrt(d2[np.arange(m), nbr[:, -1]])
 
 
 class TestVolume:
@@ -133,6 +147,71 @@ class TestKnnEntropy:
     def test_too_few_particles(self):
         with pytest.raises(ValueError):
             knn_entropy(ParticleSet(np.zeros((4, 2))), 4)
+
+
+class TestBlockSearch:
+    """entropy._knn_search works _BLOCK rows at a time; it must agree with the
+    whole-matrix reference and the (distance, index) oracle across block
+    edges, partial last blocks and ties."""
+
+    def check(self, x, k, bitwise):
+        nbr, kth = entropy._knn_search(x, k)
+        ref_nbr, ref_kth = full_matrix_knn(x, k)
+        assert np.array_equal(nbr, ref_nbr)
+        if bitwise:
+            assert np.array_equal(kth, ref_kth)
+        else:
+            np.testing.assert_allclose(kth, ref_kth, rtol=1e-15, atol=0.0)
+        edge = entropy._BLOCK
+        for i in {0, edge - 1, edge, edge + 1, len(x) - 1}:
+            if i < len(x):
+                pairs = oracle_neighbors(x, i, k)
+                assert [j for _, j in pairs] == nbr[i].tolist()
+                assert kth[i] == pytest.approx(pairs[-1][0], rel=1e-14, abs=1e-300)
+
+    @pytest.mark.parametrize("m", [257, 600, 2048])
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_random_sets(self, m, dim):
+        rng = np.random.default_rng(m * 10 + dim)
+        self.check(rng.normal(size=(m, dim)), 4, bitwise=dim <= 2)
+
+    @pytest.mark.parametrize("shape", [(600,), (24, 25), (5, 5, 5, 5)])
+    def test_lattice_ties_across_block_edges(self, shape):
+        # a shuffled lattice: every row's k-th neighbor is one of a ring of
+        # equidistant points, whose indices straddle the block edges; each
+        # ring is smaller than the k + 8 candidates kept per row
+        axes = np.meshgrid(*[np.arange(n) for n in shape], indexing="ij")
+        x = np.stack([a.ravel() for a in axes], axis=1) * 0.25 - 1.0
+        x = x[np.random.default_rng(len(shape)).permutation(len(x))]
+        self.check(x, 5, bitwise=True)
+
+    def test_sort_branch(self):
+        # m - 1 <= k + 8 sorts whole rows instead of partitioning
+        rng = np.random.default_rng(41)
+        self.check(rng.normal(size=(12, 2)), 4, bitwise=True)
+        self.check(rng.integers(0, 5, size=(260, 2)) * 1.0, 252, bitwise=True)
+
+    def test_jitter_path_matches_reference(self):
+        rng = np.random.default_rng(42)
+        x = np.repeat(rng.normal(size=(120, 2)), 5, axis=0)
+        graph = KnnGraph(ParticleSet(x), 4)
+        span = x.max(axis=0) - x.min(axis=0)
+        noise = np.random.default_rng(entropy._JITTER_SEED).standard_normal(x.shape)
+        nbr, kth = full_matrix_knn(x + noise * (entropy._JITTER_SCALE * span), 4)
+        assert np.array_equal(graph.neighbors, nbr)
+        assert np.array_equal(graph.kth_dist, kth)
+
+    def test_memory_is_one_block(self):
+        x = np.random.default_rng(43).normal(size=(2048, 2))
+        tracemalloc.start()
+        try:
+            KnnGraph(ParticleSet(x), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole matrix alone was 2048^2 doubles, 33.6 MB; one block of
+        # distances and its partition indices are about 1 MB
+        assert peak < 4e6
 
 
 class TestIwEntropy:

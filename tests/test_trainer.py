@@ -655,16 +655,36 @@ class TestRecipes:
 
 
 def test_benchmark_hooks_resolve(monkeypatch):
-    """perfbench/ patches dial functions by name and builds its workloads'
-    configs through TrainConfig.for_env; both must survive refactors."""
+    """perfbench/ patches dial functions by name, measures their calls from
+    their arguments and builds its workloads' configs through
+    TrainConfig.for_env; all three must survive refactors."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import inputs
     import spans
+    from dial import constraint, entropy
+    from dial.betarisk import RiskLevel
+    rng = np.random.default_rng(0)
+    model = ConstraintModel(2, 1, hidden=4, rng=rng)
+    taus = [Trajectory(rng.normal(size=(n, 2)), rng.normal(size=(n, 1)),
+                       np.zeros(n), np.zeros((n, 1))) for n in (3, 5)]
     tracer = spans.Tracer(0)
     try:
         tracer.install()
+        constraint.gamma_criterion(model, taus, RiskLevel(0.5))
+        prev = constraint.gamma_criterion(model, taus, RiskLevel(1.0))
+        constraint.constraint_update(model, taus[:1], taus, RiskLevel(0.5),
+                                     prev_gamma=prev)
+        entropy.KnnGraph(entropy.ParticleSet(rng.normal(size=(12, 2))), 4)
     finally:
         tracer.uninstall()
+    counts = {}
+    for i, c in zip(tracer.name, tracer.count):
+        counts.setdefault(tracer.names[i], []).append(c)
+    # the third criterion call is importance_weights' own, at lam = 1
+    assert counts["constraint.gamma_criterion"] == [0, 0, 0]
+    assert counts["constraint.constraint_update"] == [11]
+    assert counts["constraint.importance_weights"] == [0]
+    assert counts["entropy.KnnGraph"] == [12]
     from dial import trainer
     assert trainer.dial_threads() == 1
     for spec in inputs.WORKLOADS.values():
