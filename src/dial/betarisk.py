@@ -27,14 +27,12 @@ __all__ = [
     "log_beta_fn",
     "digamma",
     "beta_cdf",
-    "beta_pdf",
     "var_lambda",
     "cvar_lambda",
     "beta_kl",
     "digamma_arr",
     "trigamma_arr",
     "betainc_arr",
-    "beta_pdf_arr",
     "var_arr",
     "cvar_arr",
     "cvar_grad_arr",
@@ -260,24 +258,11 @@ def betainc_arr(a, b, x) -> np.ndarray:
     return np.clip(out.reshape(shape), 0.0, 1.0)
 
 
-def beta_pdf_arr(a, b, x) -> np.ndarray:
-    """Beta density, elementwise, for x strictly inside (0, 1)."""
-    a, b, x = np.broadcast_arrays(
-        np.asarray(a, float), np.asarray(b, float), np.asarray(x, float))
-    return np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - _log_beta_arr(a, b))
-
-
 def beta_cdf(x: float, p: BetaParams) -> float:
     """P(Z <= x) for Z ~ Beta(p)."""
     if not math.isfinite(x):
         raise ValueError(f"beta_cdf requires finite x, got {x}")
     return float(betainc_arr(np.float64(p.alpha1), np.float64(p.alpha2), np.float64(x)))
-
-
-def beta_pdf(x: float, p: BetaParams) -> float:
-    if x <= 0.0 or x >= 1.0:
-        raise ValueError(f"beta_pdf expects x in the open interval (0, 1), got {x}")
-    return float(beta_pdf_arr(np.float64(p.alpha1), np.float64(p.alpha2), np.float64(x)))
 
 
 # ---------------------------------------------------------------------------

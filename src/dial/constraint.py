@@ -95,23 +95,6 @@ class ConstraintModel:
             raise ValueError("thresholds exist only in threshold-inference mode")
         return 1.0 / (1.0 + np.exp(-self.logits))
 
-    def copy(self) -> "ConstraintModel":
-        dup = ConstraintModel.__new__(ConstraintModel)
-        dup.mode = self.mode
-        dup.state_dim = self.state_dim
-        dup.action_dim = self.action_dim
-        dup.hidden = self.hidden
-        dup.n_features = self.n_features
-        if self.mode == PER_STEP_BETA:
-            dup.net = self.net.copy()
-            dup.head = BetaHead(self.head.floor)
-            dup.logits = None
-        else:
-            dup.net = None
-            dup.head = None
-            dup.logits = self.logits.copy()
-        return dup
-
     # -- persistence ------------------------------------------------------
 
     def save(self, path) -> None:

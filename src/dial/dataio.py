@@ -123,11 +123,6 @@ def write_metrics(path, records: list) -> None:
             fh.write(_dumps(_jsonable(rec)) + "\n")
 
 
-def append_metrics(path, rec: dict) -> None:
-    with open(path, "a") as fh:
-        fh.write(_dumps(_jsonable(rec)) + "\n")
-
-
 def read_metrics(path) -> list:
     out = []
     with open(path) as fh:

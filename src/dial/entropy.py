@@ -160,7 +160,8 @@ class KnnGraph:
         return float(-s + self._bias)
 
     def kl_estimate(self, ws: ImportanceWeightSet) -> float:
-        # direct difference of the two sums; the ln k - psi(k) bias cancels
+        # entropy() - iw_entropy(ws) as a direct difference of the two sums,
+        # so the ln k - psi(k) bias cancels; 0 at uniform weights
         plain = -np.mean(math.log(self.k) - math.log(self.m) - self.log_vol)
         return float(plain + self._iw_sum(ws))
 
@@ -176,29 +177,6 @@ class KnnGraph:
 
     def neighbor_weight_sums(self, w: np.ndarray) -> np.ndarray:
         return w[self.neighbors].sum(axis=1)
-
-
-def knn_entropy(ps: ParticleSet, k: int) -> float:
-    """Entropy estimate from k-th nearest neighbor distances."""
-    return KnnGraph(ps, k).entropy()
-
-
-def iw_knn_entropy(ps: ParticleSet, ws: ImportanceWeightSet, k: int) -> float:
-    """Importance-weighted entropy estimate.
-
-    With uniform weights this reduces exactly to knn_entropy.
-    """
-    return KnnGraph(ps, k).iw_entropy(ws)
-
-
-def knn_kl_estimate(ps: ParticleSet, ws: ImportanceWeightSet, k: int) -> float:
-    """Divergence estimate between reweighted and empirical state distributions.
-
-    Computed as knn_entropy minus iw_knn_entropy with both bias terms
-    cancelled algebraically; zero at uniform weights, positive as weight
-    mass concentrates.
-    """
-    return KnnGraph(ps, k).kl_estimate(ws)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def merge_config(name: str, defaults: dict, overrides: dict | None) -> dict:
     cfg = dict(defaults)
     for key, val in (overrides or {}).items():
         if key not in defaults:
-            raise ValueError(f"env config: unknown key '{name}.{key}'")
+            raise ValueError(f"unknown key '{name}.{key}'")
         cfg[key] = val
     return cfg
 

@@ -40,7 +40,6 @@ class Mlp:
     """
 
     def __init__(self, in_dim: int, hidden: int, out_dim: int, rng: np.random.Generator):
-        self.shape = (in_dim, hidden, out_dim)
         sizes = [in_dim, hidden, hidden, out_dim]
         self.weights = []
         self.biases = []
@@ -90,14 +89,6 @@ class Mlp:
         db0 = dz1.sum(axis=0)
         return [dw0, db0, dw1, db1, dw2, db2]
 
-    def copy(self) -> "Mlp":
-        dup = Mlp.__new__(Mlp)
-        dup.shape = self.shape
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
-        dup._cache = None
-        return dup
-
 
 class AdamState:
     """Adam moments for one parameter list; step() applies a descent update."""
@@ -130,9 +121,9 @@ class AdamState:
 class GaussianHead:
     """Diagonal Gaussian over a box: tanh-scaled mean, softplus std with a floor.
 
-    Actions are sampled from the unclipped Gaussian, then clipped to the box
-    for execution; log densities are always those of the unclipped Gaussian
-    at the unclipped sample.
+    The box bounds the mean only.  Samples are not clipped: the environment
+    clips an action to its box when it steps, and log densities are those
+    of the unclipped Gaussian at the unclipped sample.
     """
 
     def __init__(self, low, high, std_floor: float = 1e-4):
@@ -153,13 +144,10 @@ class GaussianHead:
         sd = softplus(rs) + self.std_floor
         return mu, sd
 
-    def sample(self, raw: np.ndarray, rng: np.random.Generator):
-        """Returns (clipped action, raw sample, log density at the raw sample)."""
+    def sample(self, raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """mu + sd * z for a standard normal z, unclipped."""
         mu, sd = self.split(raw)
-        z = rng.standard_normal(mu.shape)
-        a_raw = mu + sd * z
-        a = np.clip(a_raw, self.low, self.high)
-        return a, a_raw, self.log_prob(raw, a_raw)
+        return mu + sd * rng.standard_normal(mu.shape)
 
     def log_prob(self, raw: np.ndarray, a_raw: np.ndarray) -> np.ndarray:
         mu, sd = self.split(raw)

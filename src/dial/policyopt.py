@@ -72,8 +72,9 @@ class GaussianPolicy:
     def params(self) -> list:
         return self.net.params()
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator):
-        """Returns (clipped action, raw sample, log density)."""
+    def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One unclipped sample: the env clips it when it steps, and the
+        trajectory records it as drawn, so log_prob scores what was sampled."""
         raw = self.net.forward(np.asarray(obs, dtype=float))
         return self.head.sample(raw, rng)
 
@@ -124,20 +125,16 @@ def gae_advantages(rewards: np.ndarray, values: np.ndarray, gamma: float,
 class PpoState:
     """Value networks, optimizers, and hyperparameters for ppo_lagrange_update."""
 
+    # surrogate clip width, discount, GAE lambda and rows per minibatch
+    clip, gamma, gae_lambda, minibatch = 0.2, 0.99, 0.95, 256
+
     def __init__(self, policy: GaussianPolicy, rng: np.random.Generator,
-                 hidden: int | None = None, clip: float = 0.2, gamma: float = 0.99,
-                 gae_lambda: float = 0.95, lr: float = 1e-3, minibatch: int = 256,
-                 entropy_beta: float = 0.0):
-        hidden = policy.hidden if hidden is None else hidden
-        self.v_reward = Mlp(policy.obs_dim, hidden, 1, rng)
-        self.v_cost = Mlp(policy.obs_dim, hidden, 1, rng)
+                 lr: float = 1e-3, entropy_beta: float = 0.0):
+        self.v_reward = Mlp(policy.obs_dim, policy.hidden, 1, rng)
+        self.v_cost = Mlp(policy.obs_dim, policy.hidden, 1, rng)
         self.opt_pi = AdamState(policy.params(), lr)
         self.opt_vr = AdamState(self.v_reward.params(), lr)
         self.opt_vc = AdamState(self.v_cost.params(), lr)
-        self.clip = clip
-        self.gamma = gamma
-        self.gae_lambda = gae_lambda
-        self.minibatch = minibatch
         self.entropy_beta = entropy_beta
 
 

@@ -176,6 +176,25 @@ class TrainConfig:
                 f"expert_eps_frac must lie in (0, 1], got {self.expert_eps_frac}")
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes must be >= 1")
+        if not self.lr_constraint > 0.0:
+            raise ConfigError(f"lr_constraint must be > 0, got {self.lr_constraint}")
+        try:
+            BetaParams(*self.prior_alpha)
+        except (TypeError, ValueError):
+            raise ConfigError(f"prior_alpha must be two finite numbers > 0, "
+                              f"got {self.prior_alpha!r}") from None
+        seeds = self.eval_seeds
+        if seeds is not None and not (isinstance(seeds, (list, tuple)) and all(
+                type(s) is int and s >= 0 for s in seeds)):
+            raise ConfigError(f"eval_seeds must be a list of integers >= 0, got {seeds!r}")
+        if self.env not in RECIPES:
+            raise ConfigError(f"unknown env '{self.env}'")
+        if not isinstance(self.env_config, (dict, type(None))):
+            raise ConfigError(f"env_config must be an object, got {self.env_config!r}")
+        try:
+            make_env(self.env, self.env_config)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"env_config: {exc}") from None
 
     @classmethod
     def for_env(cls, env: str, stage: str, **overrides) -> "TrainConfig":
@@ -268,7 +287,7 @@ class ControllerPolicy(GainPolicy):
     """Gains as the action; the driving env maps them to pedal and wheel."""
 
     def act(self, obs, rng):
-        return self.gains, self.gains, 0.0
+        return self.gains
 
     def save(self, path) -> None:
         save_checkpoint(path, {"ctrl.gains": self.gains, "ctrl.std": self.std},
@@ -302,7 +321,7 @@ class PumpPolicy(GainPolicy):
             a = np.ones(1)
         else:
             a = -np.ones(1)
-        return a, a, 0.0
+        return a
 
     @classmethod
     def act_batch(cls, gains, obs):
@@ -326,8 +345,7 @@ class BalancePolicy(GainPolicy):
 
     def act(self, obs, rng):
         k = self.MID + self.SPAN * self.gains
-        a = np.clip(np.array([float(k @ obs)]), -1.0, 1.0)
-        return a, a, 0.0
+        return np.clip(np.array([float(k @ obs)]), -1.0, 1.0)
 
 
 class DetourPolicy:
@@ -351,8 +369,7 @@ class DetourPolicy:
         to_goal = self.goal - p
         dg = float(np.linalg.norm(to_goal))
         if dg < 1e-9:
-            a = np.zeros(2)
-            return a, a, 0.0
+            return np.zeros(2)
         u = to_goal / dg
         vc = self.hazard - p
         d = float(np.linalg.norm(vc))
@@ -377,8 +394,7 @@ class DetourPolicy:
         a = u / max(abs(float(u[0])), abs(float(u[1])), 1e-9)
         if self.jitter:
             a = a + self.jitter * rng.standard_normal(2)
-        a = np.clip(a, -1.0, 1.0)
-        return a, a, 0.0
+        return np.clip(a, -1.0, 1.0)
 
     def _blocked(self, u, dg: float, vc, d: float) -> bool:
         proj = float(vc @ u)
@@ -399,16 +415,21 @@ def load_policy(path):
 
 
 def run_episode(env, policy, task, rng) -> tuple:
-    """Roll one episode; the trajectory stores raw action samples."""
+    """Roll one episode.
+
+    The env steps on the action act returns and the trajectory records the
+    same action; for a Gaussian policy that is the unclipped sample, which
+    the env clips to its box itself.
+    """
     s = env.reset(task, rng)
     states, actions, rewards, costs = [], [], [], []
     goal = False
     for _ in range(env.horizon):
         obs = env.observe(s)
-        a, a_raw, _ = policy.act(obs, rng)
+        a = policy.act(obs, rng)
         res = env.step(s, a)
         states.append(obs)
-        actions.append(np.asarray(a_raw, dtype=float).reshape(-1))
+        actions.append(np.asarray(a, dtype=float).reshape(-1))
         rewards.append(res.reward)
         costs.append(res.cost_features)
         s = res.next_state

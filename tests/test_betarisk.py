@@ -22,7 +22,6 @@ from dial.betarisk import (
     beta_cdf,
     beta_kl,
     beta_kl_arr,
-    beta_pdf,
     betainc_arr,
     cvar_arr,
     cvar_grad_arr,
@@ -503,9 +502,3 @@ class TestParamValidation:
 
     def test_mean(self):
         assert BetaParams(2.0, 6.0).mean == 0.25
-
-    def test_pdf_domain(self):
-        with pytest.raises(ValueError):
-            beta_pdf(0.0, BetaParams(2.0, 2.0))
-        with pytest.raises(ValueError):
-            beta_pdf(1.0, BetaParams(2.0, 2.0))

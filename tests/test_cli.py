@@ -101,6 +101,28 @@ class TestConfigErrors:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "exp" / "experts.jsonl").exists()
 
+    @pytest.mark.parametrize("cmd,key,value", [
+        ("train-il", "prior_alpha", [0, 1]),
+        ("train-il", "prior_alpha", [1]),
+        ("train-il", "lr_constraint", 0),
+        ("train-il", "env_config", {"bogus": 1}),
+        ("gen-experts", "env_config", {"bogus": 1}),
+        ("eval", "eval_seeds", ["a"]),
+        ("eval", "eval_seeds", 5),
+        ("eval", "eval_seeds", [-1]),
+    ])
+    def test_malformed_value(self, tmp_path, capsys, cmd, key, value):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(CFG, **{key: value})))
+        extra = {"train-il": ["--experts", str(tmp_path / "experts.jsonl")],
+                 "eval": ["--policy", str(tmp_path / "x.ckpt")]}.get(cmd, [])
+        assert main([cmd, "--config", str(p), "--out-dir", str(tmp_path / "out"),
+                     *extra]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        if key == "env_config":
+            assert "bogus" in err
+
     def test_uncertified_experts_rejected(self, tmp_path, chain):
         data = tmp_path / "experts.jsonl"
         data.write_text(chain["experts"].read_text())

@@ -162,7 +162,7 @@ def test_importance_weight_identity_and_ratio():
     model = make_model(seed=1)
     rng = np.random.default_rng(6)
     tau = random_traj(rng)
-    prev = gamma_criterion(model.copy(), [tau], RiskLevel(1.0))
+    prev = gamma_criterion(model, [tau], RiskLevel(1.0))
     assert importance_weights(model, [tau], prev)[0] == pytest.approx(1.0)
 
 
@@ -422,13 +422,6 @@ def test_save_load_round_trip(tmp_path):
         path2 = tmp_path / f"{mode}2.ckpt"
         back.save(path2)
         assert path.read_bytes() == path2.read_bytes()
-
-
-def test_copy_is_independent():
-    model = make_model(seed=14)
-    dup = model.copy()
-    dup.net.biases[2][0] += 1.0
-    assert model.net.biases[2][0] != dup.net.biases[2][0]
 
 
 def test_constructor_validation():

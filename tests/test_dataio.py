@@ -12,7 +12,6 @@ from dial.dataio import (
     DATASET_VERSION,
     DataFormatError,
     RunManifest,
-    append_metrics,
     content_version,
     hash_config,
     hash_file,
@@ -135,13 +134,12 @@ class TestDatasetErrors:
 
 
 class TestMetricsLog:
-    def test_round_trip_and_append(self, tmp_path):
+    def test_round_trip(self, tmp_path):
         path = tmp_path / "m.jsonl"
         recs = [{"iteration": 0, "rr": 1.5, "cr": [0.2, 0.1]},
                 {"iteration": 1, "rr": 2.0, "cr": [0.0, 0.0]}]
-        write_metrics(path, recs)
-        append_metrics(path, {"iteration": 2, "rr": float(np.float64(2.5)),
-                              "cr": np.array([1.0, 2.0])})
+        write_metrics(path, recs + [{"iteration": 2, "rr": float(np.float64(2.5)),
+                                     "cr": np.array([1.0, 2.0])}])
         back = read_metrics(path)
         assert back[:2] == recs
         assert back[2] == {"iteration": 2, "rr": 2.5, "cr": [1.0, 2.0]}

@@ -18,9 +18,6 @@ from dial.entropy import (
     KnnGraph,
     ParticleSet,
     VisitationGrid,
-    iw_knn_entropy,
-    knn_entropy,
-    knn_kl_estimate,
     knn_volume,
     state_entropy_metric,
 )
@@ -95,7 +92,7 @@ class TestKnnEntropy:
         # each ball has length 2h, so the estimate is ln(2Mh) - psi(1)
         h = 0.35
         x = (np.arange(5, dtype=float) * h)[:, None]
-        got = knn_entropy(ParticleSet(x), 1)
+        got = KnnGraph(ParticleSet(x), 1).entropy()
         want = math.log(2 * 5 * h) - math.log(1) * 0 + 0.0 + math.log(1) - scipy.special.digamma(1)
         want = -sum(math.log(1 / (5 * 2 * h)) for _ in range(5)) / 5 + math.log(1) - scipy.special.digamma(1)
         assert abs(got - want) < 1e-12
@@ -108,7 +105,7 @@ class TestKnnEntropy:
             dim = int(rng.integers(1, 4))
             k = int(rng.integers(1, 5))
             x = rng.normal(size=(m, dim))
-            got = knn_entropy(ParticleSet(x), k)
+            got = KnnGraph(ParticleSet(x), k).entropy()
             want = oracle_knn_entropy(x, k)
             assert abs(got - want) < 1e-12
 
@@ -119,34 +116,34 @@ class TestKnnEntropy:
         for seed in (0, 1):
             rng = np.random.default_rng(seed)
             x = rng.uniform(0.0, 1.0, size=(1024, 2))
-            vals.append(knn_entropy(ParticleSet(x), 4))
+            vals.append(KnnGraph(ParticleSet(x), 4).entropy())
         assert abs(np.mean(vals)) < 0.15
 
     def test_scaling_shifts_by_log_volume(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(size=(256, 2))
-        h1 = knn_entropy(ParticleSet(x), 4)
-        h2 = knn_entropy(ParticleSet(2.0 * x), 4)
+        h1 = KnnGraph(ParticleSet(x), 4).entropy()
+        h2 = KnnGraph(ParticleSet(2.0 * x), 4).entropy()
         assert abs(h2 - h1 - 2.0 * math.log(2.0)) < 1e-9
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(6)
         x = rng.uniform(size=(512, 2))
-        h1 = knn_entropy(ParticleSet(x), 4)
-        h2 = knn_entropy(ParticleSet(x + 3.7), 4)
+        h1 = KnnGraph(ParticleSet(x), 4).entropy()
+        h2 = KnnGraph(ParticleSet(x + 3.7), 4).entropy()
         assert abs(h2 - h1) < 1e-12
 
     def test_duplicates_take_jitter_path(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0],
                       [0.5, 0.5], [0.5, 0.5]])
-        a = knn_entropy(ParticleSet(x), 1)
-        b = knn_entropy(ParticleSet(x), 1)
+        a = KnnGraph(ParticleSet(x), 1).entropy()
+        b = KnnGraph(ParticleSet(x), 1).entropy()
         assert math.isfinite(a)
         assert a == b, "jitter must be deterministic"
 
     def test_too_few_particles(self):
         with pytest.raises(ValueError):
-            knn_entropy(ParticleSet(np.zeros((4, 2))), 4)
+            KnnGraph(ParticleSet(np.zeros((4, 2))), 4)
 
 
 class TestBlockSearch:
@@ -221,9 +218,9 @@ class TestIwEntropy:
             m = int(rng.integers(10, 40))
             dim = int(rng.integers(1, 4))
             x = rng.normal(size=(m, dim))
-            plain = knn_entropy(ParticleSet(x), 4 if m > 4 else 2)
+            plain = KnnGraph(ParticleSet(x), 4 if m > 4 else 2).entropy()
             k = 4 if m > 4 else 2
-            iw = iw_knn_entropy(ParticleSet(x), ImportanceWeightSet.uniform(m), k)
+            iw = KnnGraph(ParticleSet(x), k).iw_entropy(ImportanceWeightSet.uniform(m))
             assert abs(plain - iw) < 1e-12
 
     def test_matches_oracle_random_weights(self):
@@ -233,7 +230,7 @@ class TestIwEntropy:
             x = rng.normal(size=(m, 2))
             w = rng.uniform(0.0, 1.0, m)
             w /= w.sum()
-            got = iw_knn_entropy(ParticleSet(x), ImportanceWeightSet(w), 3)
+            got = KnnGraph(ParticleSet(x), 3).iw_entropy(ImportanceWeightSet(w))
             want = oracle_iw_knn_entropy(x, w, 3)
             assert abs(got - want) < 1e-12
 
@@ -246,8 +243,8 @@ class TestIwEntropy:
         i, j = np.unravel_index(np.argmax(d), d.shape)
         w = np.full(m, 1e-4)
         w[i] = w[j] = (1.0 - (m - 2) * 1e-4) / 2.0
-        uni = iw_knn_entropy(ParticleSet(x), ImportanceWeightSet.uniform(m), 4)
-        conc = iw_knn_entropy(ParticleSet(x), ImportanceWeightSet(w), 4)
+        uni = KnnGraph(ParticleSet(x), 4).iw_entropy(ImportanceWeightSet.uniform(m))
+        conc = KnnGraph(ParticleSet(x), 4).iw_entropy(ImportanceWeightSet(w))
         assert conc < uni
 
     def test_weight_validation(self):
@@ -257,7 +254,7 @@ class TestIwEntropy:
             ImportanceWeightSet(np.array([-0.1, 1.1]))
         ps = ParticleSet(np.random.default_rng(0).normal(size=(10, 2)))
         with pytest.raises(ValueError):
-            iw_knn_entropy(ps, ImportanceWeightSet.uniform(9), 2)
+            KnnGraph(ps, 2).iw_entropy(ImportanceWeightSet.uniform(9))
 
 
 class TestKlEstimate:
@@ -266,7 +263,7 @@ class TestKlEstimate:
         for _ in range(20):
             m = int(rng.integers(10, 60))
             x = rng.normal(size=(m, 2))
-            d = knn_kl_estimate(ParticleSet(x), ImportanceWeightSet.uniform(m), 4)
+            d = KnnGraph(ParticleSet(x), 4).kl_estimate(ImportanceWeightSet.uniform(m))
             assert abs(d) < 1e-12
 
     def test_concentration_is_positive(self):
@@ -274,7 +271,7 @@ class TestKlEstimate:
         x = rng.uniform(size=(80, 2))
         w = np.full(80, 1e-5)
         w[:4] = (1.0 - 76 * 1e-5) / 4.0
-        d = knn_kl_estimate(ParticleSet(x), ImportanceWeightSet(w), 4)
+        d = KnnGraph(ParticleSet(x), 4).kl_estimate(ImportanceWeightSet(w))
         assert d > 0.0
 
     def test_equals_entropy_difference(self):
@@ -284,8 +281,9 @@ class TestKlEstimate:
         w /= w.sum()
         ps = ParticleSet(x)
         ws = ImportanceWeightSet(w)
-        d = knn_kl_estimate(ps, ws, 3)
-        diff = knn_entropy(ps, 3) - iw_knn_entropy(ps, ws, 3)
+        graph = KnnGraph(ps, 3)
+        d = graph.kl_estimate(ws)
+        diff = graph.entropy() - graph.iw_entropy(ws)
         assert abs(d - diff) < 1e-12
 
 
@@ -339,4 +337,4 @@ class TestGraphReuse:
             w = rng.uniform(0.1, 1.0, 60)
             w /= w.sum()
             ws = ImportanceWeightSet(w)
-            assert abs(graph.kl_estimate(ws) - knn_kl_estimate(ps, ws, 4)) < 1e-15
+            assert abs(graph.kl_estimate(ws) - KnnGraph(ps, 4).kl_estimate(ws)) < 1e-15

@@ -633,3 +633,34 @@ def test_project_shapes():
         obs = env.observe(s)
         pts = env.project(np.stack([obs, obs]))
         assert pts.shape == (2, 2)
+
+
+# ------------------------------------------------------- out-of-box actions
+
+def _state_bytes(s):
+    if dataclasses.is_dataclass(s):
+        return tuple(np.asarray(getattr(s, f.name)).tobytes()
+                     for f in dataclasses.fields(s))
+    return np.asarray(s).tobytes()
+
+
+@pytest.mark.parametrize("name", ["basic_nav", "mountain_car", "cartpole",
+                                  "intersection"])
+@pytest.mark.parametrize("mode", ["il", "meta"])
+def test_step_clips_actions_to_the_box(name, mode):
+    # policies hand env.step unclipped Gaussian samples, so every env must
+    # treat an action outside its box exactly as the box's nearest point
+    env = make_env(name)
+    rng = np.random.default_rng(11)
+    s = env.reset(env.sample_task(rng, mode), rng)
+    for _ in range(150):
+        a = rng.uniform(3.0 * env.action_low, 3.0 * env.action_high)
+        got = env.step(s, a)
+        want = env.step(s, np.clip(a, env.action_low, env.action_high))
+        assert _state_bytes(got.next_state) == _state_bytes(want.next_state)
+        assert np.float64(got.reward).tobytes() == np.float64(want.reward).tobytes()
+        assert got.cost_features.tobytes() == want.cost_features.tobytes()
+        assert got.done == want.done
+        s = want.next_state
+        if want.done:
+            s = env.reset(env.sample_task(rng, mode), rng)

@@ -62,16 +62,16 @@ def test_policy_act_and_log_prob():
     pol = GaussianPolicy(3, [-1.0, -2.0], [1.0, 2.0], hidden=16,
                          rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    a, a_raw, lp = pol.act(np.zeros(3), rng)
-    assert np.all(a >= [-1.0, -2.0]) and np.all(a <= [1.0, 2.0])
-    # density matches a manual diagonal gaussian at the raw sample
+    a = pol.act(np.zeros(3), rng)
+    assert a.shape == (2,)
+    # density matches a manual diagonal gaussian at the sample
     raw = pol.net.forward(np.zeros(3))
     mu = pol.head.center + pol.head.half * np.tanh(raw[:2])
     sd = np.log1p(np.exp(raw[2:])) + pol.head.std_floor
-    manual = sum(-0.5 * ((a_raw[i] - mu[i]) / sd[i]) ** 2
+    manual = sum(-0.5 * ((a[i] - mu[i]) / sd[i]) ** 2
                  - math.log(sd[i]) - 0.5 * math.log(2 * math.pi)
                  for i in range(2))
-    assert lp == pytest.approx(manual, rel=1e-9)
+    assert pol.log_prob(np.zeros(3), a)[0] == pytest.approx(manual, rel=1e-9)
 
 
 def test_policy_save_load_round_trip(tmp_path):
@@ -207,7 +207,7 @@ def test_ppo_improves_navigation_return():
     task = TaskSpec("goal", goal=(9.5, 0.5))
     pol = GaussianPolicy(2, env.action_low, env.action_high, hidden=32,
                          rng=np.random.default_rng(16))
-    ppo = PpoState(pol, np.random.default_rng(17), gamma=0.99)
+    ppo = PpoState(pol, np.random.default_rng(17))
     ls = LagrangeState(epsilon=0.1, kappa=0.0, kappa_d=0.0)
     rng = np.random.default_rng(18)
 
@@ -218,10 +218,10 @@ def test_ppo_improves_navigation_return():
             states, actions, rewards = [], [], []
             for _ in range(env.horizon):
                 obs = env.observe(s)
-                a, a_raw, _ = pol.act(obs, rng)
+                a = pol.act(obs, rng)
                 r = env.step(s, a)
                 states.append(obs)
-                actions.append(a_raw)
+                actions.append(a)
                 rewards.append(r.reward)
                 s = r.next_state
                 if r.done:

@@ -385,14 +385,14 @@ class TestBalanceCem:
 
     def test_act_is_clipped_linear_feedback(self):
         obs = np.array([0.1, -0.2, 0.05, 0.3])
-        a, a_raw, _ = BalancePolicy(np.zeros(4)).act(obs, None)
-        assert a.shape == (1,) and a is a_raw
+        a = BalancePolicy(np.zeros(4)).act(obs, None)
+        assert a.shape == (1,)
         assert a[0] == pytest.approx(float(BalancePolicy.MID @ obs))
         gains = np.array([1.0, -1.0, 0.5, 2.0])
         k = BalancePolicy.MID + BalancePolicy.SPAN * gains
-        assert BalancePolicy(gains).act(obs, None)[0][0] == pytest.approx(float(k @ obs))
-        assert BalancePolicy(np.zeros(4)).act(10.0 * np.ones(4), None)[0][0] == 1.0
-        assert BalancePolicy(np.zeros(4)).act(-10.0 * np.ones(4), None)[0][0] == -1.0
+        assert BalancePolicy(gains).act(obs, None)[0] == pytest.approx(float(k @ obs))
+        assert BalancePolicy(np.zeros(4)).act(10.0 * np.ones(4), None)[0] == 1.0
+        assert BalancePolicy(np.zeros(4)).act(-10.0 * np.ones(4), None)[0] == -1.0
 
     def test_expert_gen_certifies_and_repeats(self, tmp_path):
         # every seed of 0-39 certifies at these sizes; at 8 x 2 x 1 x 2 nine
@@ -661,7 +661,7 @@ def test_benchmark_hooks_resolve(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import inputs
     import spans
-    from dial import constraint, entropy
+    from dial import constraint, entropy, trainer
     from dial.betarisk import RiskLevel
     rng = np.random.default_rng(0)
     model = ConstraintModel(2, 1, hidden=4, rng=rng)
@@ -675,6 +675,9 @@ def test_benchmark_hooks_resolve(monkeypatch):
         constraint.constraint_update(model, taus[:1], taus, RiskLevel(0.5),
                                      prev_gamma=prev)
         entropy.KnnGraph(entropy.ParticleSet(rng.normal(size=(12, 2))), 4)
+        env = make_env("basic_nav", NAV_SMALL)
+        policy = GaussianPolicy(env.state_dim, env.action_low, env.action_high, 4, rng)
+        trajs, _, steps = trainer.collect_rollouts(env, policy, 3, rng)
     finally:
         tracer.uninstall()
     counts = {}
@@ -685,7 +688,8 @@ def test_benchmark_hooks_resolve(monkeypatch):
     assert counts["constraint.constraint_update"] == [11]
     assert counts["constraint.importance_weights"] == [0]
     assert counts["entropy.KnnGraph"] == [12]
-    from dial import trainer
+    assert counts["trainer.run_episode"] == [len(t) for t in trajs]
+    assert len(counts["envs.step"]) == steps == sum(len(t) for t in trajs)
     assert trainer.dial_threads() == 1
     for spec in inputs.WORKLOADS.values():
         for stage in inputs.STAGES:
