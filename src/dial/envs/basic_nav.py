@@ -71,6 +71,28 @@ class BasicNav(Environment):
         return StepResult(pos, reward, self.true_cost(pos), done,
                           {"goal": done})
 
+    def step_batch(self, states: np.ndarray, actions: np.ndarray,
+                   goals: np.ndarray) -> tuple:
+        """step() over state rows (which are also the observations), each
+        toward its own row of goals, bit for bit; returns (next states,
+        rewards, cost features (n, 1), goal flags)."""
+        c = self.cfg
+        pos = np.clip(states + np.clip(actions, -1.0, 1.0) * c["dt"], 0.0, c["arena"])
+
+        def dist(p):
+            # a stacked per-row dot rounds as the scalar np.linalg.norm does;
+            # a sum or norm over axis 1 does not on every row
+            d = p - goals
+            return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+        d_new = dist(pos)
+        reward = c["progress_reward"] * (dist(states) - d_new)
+        # math.hypot per row: np.hypot differs from it in the last bit
+        hx, hy = self._hazard
+        cost = [[1.0 if math.hypot(x - hx, y - hy) < c["hazard_radius"] else 0.0]
+                for x, y in pos.tolist()]
+        return pos, reward, np.array(cost), d_new < c["goal_radius"]
+
     def true_cost(self, state, action=None) -> np.ndarray:
         d = math.hypot(float(state[0]) - self._hazard[0],
                        float(state[1]) - self._hazard[1])

@@ -75,10 +75,12 @@ class MountainCar(Environment):
         return StepResult(nxt, reward, self.true_cost(nxt), goal,
                           {"goal": goal})
 
-    def step_batch(self, states: np.ndarray, actions: np.ndarray) -> tuple:
+    def step_batch(self, states: np.ndarray, actions: np.ndarray,
+                   goals=None) -> tuple:
         """step() over state rows (which are also the observations) with one
         throttle per row, bit for bit; returns (next states, rewards,
-        cost features (n, 1), goal flags)."""
+        cost features (n, 1), goal flags). goals is unused: every episode
+        here ends at goal_position, as in step()."""
         c = self.cfg
         a = np.clip(np.asarray(actions, dtype=float).reshape(-1), -1.0, 1.0)
         x, v = states[:, 0], states[:, 1]

@@ -69,6 +69,20 @@ class Mlp:
         self._cache = (x, z1, h1, z2, h2)
         return out[0] if squeeze else out
 
+    def forward_rows(self, x: np.ndarray) -> np.ndarray:
+        """forward over the rows of x, row i bit for bit forward(x[i]).
+
+        The stacked product x[:, None, :] @ W hands each (1, k) slice to the
+        one-row BLAS call that forward makes, where one (n, k) @ W may round
+        a row differently depending on n. Leaves backward's cache alone.
+        """
+        h = np.asarray(x, dtype=float)[:, None, :]
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = h @ w + b
+            if i < 2:
+                h = np.maximum(h, 0.0)
+        return h[:, 0]
+
     def backward(self, dout: np.ndarray) -> list:
         """Gradients of sum(dout * out) w.r.t. params, in params() order."""
         if self._cache is None:

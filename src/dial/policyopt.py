@@ -78,6 +78,12 @@ class GaussianPolicy:
         raw = self.net.forward(np.asarray(obs, dtype=float))
         return self.head.sample(raw, rng)
 
+    def act_rows(self, obs: np.ndarray, rngs: list) -> np.ndarray:
+        """act over observation rows, one generator per row: row i is bit
+        for bit act(obs[i], rngs[i]) and draws from rngs[i] what it draws."""
+        mu, sd = self.head.split(self.net.forward_rows(obs))
+        return mu + sd * np.array([rng.standard_normal(self.head.dim) for rng in rngs])
+
     def log_prob(self, obs: np.ndarray, a_raw: np.ndarray) -> np.ndarray:
         # leaves the net's forward cache on the full batch for backward use
         raw = self.net.forward(np.atleast_2d(obs))

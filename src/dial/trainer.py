@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -96,6 +97,10 @@ def task_mode_for(env_name: str, stage: str) -> str:
     return expert if stage == "expert-gen" else transfer
 
 
+# the type each numeric TrainConfig field must hold (bools are neither)
+_NUMERIC = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+
+
 @dataclass
 class TrainConfig:
     """One run's knobs. Env-step budgets count collected rollout steps;
@@ -141,6 +146,12 @@ class TrainConfig:
     env_config: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for f in fields(self):
+            v, kind = getattr(self, f.name), _NUMERIC.get(f.type)
+            if kind and (isinstance(v, bool) or not isinstance(v, kind[0])):
+                raise ConfigError(f"{f.name} must be {kind[1]}, got {v!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.stage not in STAGES:
             raise ConfigError(f"unknown stage '{self.stage}'")
         if self.env_steps <= 0 and self.stage in ("safe-il", "safe-tl"):
@@ -481,20 +492,62 @@ def rollout_metrics(env, rollouts: list, infos: list | None = None) -> Metrics:
                    goal_rate=goal_rate, feasible_reward=feasible)
 
 
-def evaluate(cfg: TrainConfig, policy) -> tuple:
-    """Metrics over eval_episodes per seed, run in order on one env.
+def run_episodes(env, starts, act, goals=None) -> tuple:
+    """Episodes in lockstep, one per row of starts (states, which are also
+    the observations): each step makes one act(states) and one step_batch
+    call over every row. Where both are bit for bit their per-row selves and
+    each row draws only from its own stream, row i is bit for bit the
+    run_episode from starts[i]. A row's record ends at its goal step; the
+    loop ends at the horizon or once every row is done, and done rows keep
+    stepping unrecorded. Returns the time-major padded (horizon, rows, ...)
+    states, actions, rewards and costs, then each row's length and goal
+    flag: row i's episode is [:lens[i], i] of each.
+    """
+    state = np.array(starts, dtype=float)
+    rows, horizon = len(state), env.horizon
+    # time-major, so each step writes one contiguous block per record
+    states = np.zeros((horizon, rows, env.state_dim))
+    actions = np.zeros((horizon, rows, env.action_dim))
+    rewards = np.zeros((horizon, rows))
+    costs = np.zeros((horizon, rows, env.cost_dim))
+    lens = np.full(rows, horizon)
+    live = np.ones(rows, dtype=bool)
+    for t in range(horizon):
+        states[t] = state
+        actions[t] = a = np.reshape(act(state), (rows, -1))
+        state, rewards[t], costs[t], goal = env.step_batch(state, a, goals)
+        lens[goal & live] = t + 1
+        live &= ~goal
+        if not live.any():
+            break
+    return states, actions, rewards, costs, lens, ~live
 
-    Each episode draws from its own SeedSequence([seed, episode]) stream, so
-    its result does not depend on the episodes run before it.
+
+def evaluate(cfg: TrainConfig, policy) -> tuple:
+    """Metrics over eval_episodes per seed, with per-episode detail.
+
+    Each episode draws only from its own SeedSequence([seed, episode])
+    stream, so its result does not depend on the other episodes. An env
+    with step_batch and a policy with act_rows run every episode in
+    lockstep through run_episodes, each row bit for bit the run_episode of
+    its stream; others run the episodes one by one.
     """
     task_mode = task_mode_for(cfg.env, "eval")
     seeds = cfg.eval_seeds if cfg.eval_seeds else [cfg.seed]
     jobs = [(int(s), ep) for s in seeds for ep in range(cfg.eval_episodes)]
     env = make_env(cfg.env, cfg.env_config)
-    results = []
-    for seed, ep in jobs:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, ep]))
-        results.append(run_episode(env, policy, env.sample_task(rng, task_mode), rng))
+    rngs = [np.random.default_rng(np.random.SeedSequence(job)) for job in jobs]
+    tasks = [env.sample_task(rng, task_mode) for rng in rngs]
+    if hasattr(env, "step_batch") and hasattr(policy, "act_rows"):
+        starts = [env.reset(task, rng) for task, rng in zip(tasks, rngs)]
+        goals = np.array([task.goal for task in tasks], dtype=float)
+        *recs, lens, goal = run_episodes(
+            env, starts, lambda obs: policy.act_rows(obs, rngs), goals)
+        results = [(Trajectory(*(r[:n, i] for r in recs), task=task), {"goal": bool(g)})
+                   for i, (n, g, task) in enumerate(zip(lens, goal, tasks))]
+    else:
+        results = [run_episode(env, policy, task, rng)
+                   for task, rng in zip(tasks, rngs)]
     metrics = rollout_metrics(env, [tau for tau, _ in results],
                               [info for _, info in results])
     detail = [{"seed": s, "episode": ep,
@@ -544,16 +597,28 @@ def _cem_objective(env, cfg: TrainConfig, rng, task_mode: str,
     episode_tail ranks by the worst episode instead of the batch mean,
     for searches that face a per-episode certification afterwards. An env
     with step_batch and a policy with act_batch run every candidate x seed
-    episode as one array loop; others run them one by one.
+    episode in lockstep through run_episodes; others run them one by one.
     """
     seeds = [int(rng.integers(2 ** 31 - 1))
              for _ in range(cfg.cem_eval_episodes)]
     batched = hasattr(env, "step_batch") and hasattr(make_policy, "act_batch")
+    if batched:
+        # each seed's stream draws only its task and start, so every
+        # candidate starts from the same states
+        starts = []
+        for s in seeds:
+            erng = np.random.default_rng(s)
+            starts.append(env.reset(env.sample_task(erng, task_mode), erng))
 
     def evaluate_candidates(cand):
         # episode reward sums and cost rows, candidate-major then seed
         if batched:
-            rs, costs = _batch_episodes(env, make_policy, cand, seeds, task_mode)
+            gains = np.repeat(cand, len(seeds), axis=0)
+            _, _, rewards, costs, lens, _ = run_episodes(
+                env, np.tile(np.array(starts, dtype=float), (len(cand), 1)),
+                lambda obs: make_policy.act_batch(gains, obs))
+            rs = [float(rewards[:n, i].sum()) for i, n in enumerate(lens)]
+            costs = [costs[:n, i] for i, n in enumerate(lens)]
         else:
             rs, costs = [], []
             for gains in cand:
@@ -573,35 +638,6 @@ def _cem_objective(env, cfg: TrainConfig, rng, task_mode: str,
         return rewards, np.maximum(0.0, agg - thresholds)
 
     return evaluate_candidates
-
-
-def _batch_episodes(env, make_policy, cand, seeds, task_mode) -> tuple:
-    """The episodes of _cem_objective run as one loop over state rows.
-
-    Each seed's stream draws only its task and start, so every candidate
-    starts from the same states; a row stops counting at its goal step and
-    the loop at the horizon or once every row has stopped.
-    """
-    starts = []
-    for s in seeds:
-        erng = np.random.default_rng(s)
-        starts.append(env.reset(env.sample_task(erng, task_mode), erng))
-    gains = np.repeat(cand, len(seeds), axis=0)
-    state = np.tile(np.array(starts, dtype=float), (len(cand), 1))
-    rows, horizon = len(gains), env.horizon
-    rewards = np.zeros((rows, horizon))
-    costs = np.zeros((rows, horizon, env.cost_dim))
-    lens = np.full(rows, horizon)
-    live = np.ones(rows, dtype=bool)
-    for t in range(horizon):
-        state, rewards[:, t], costs[:, t], goal = env.step_batch(
-            state, make_policy.act_batch(gains, state))
-        lens[goal & live] = t + 1
-        live &= ~goal
-        if not live.any():
-            break
-    return ([float(r[:n].sum()) for r, n in zip(rewards, lens)],
-            [c[:n] for c, n in zip(costs, lens)])
 
 
 def _cem_round(policy, evaluate_candidates, n_samp: int,

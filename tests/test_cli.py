@@ -110,6 +110,12 @@ class TestConfigErrors:
         ("eval", "eval_seeds", ["a"]),
         ("eval", "eval_seeds", 5),
         ("eval", "eval_seeds", [-1]),
+        ("gen-experts", "seed", -1),
+        ("gen-experts", "seed", "3"),
+        ("gen-experts", "seed", 1.5),
+        ("train-il", "lr_constraint", "a"),
+        ("train-il", "env_steps", "a"),
+        ("train-il", "n_rollouts", 2.5),
     ])
     def test_malformed_value(self, tmp_path, capsys, cmd, key, value):
         p = tmp_path / "cfg.json"
@@ -122,6 +128,12 @@ class TestConfigErrors:
         assert key in err and "Traceback" not in err
         if key == "env_config":
             assert "bogus" in err
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        assert main(["gen-experts", "--env", "basic_nav", "--seed", "-1",
+                     "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
 
     def test_uncertified_experts_rejected(self, tmp_path, chain):
         data = tmp_path / "experts.jsonl"

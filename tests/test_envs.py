@@ -286,6 +286,65 @@ def test_basic_nav_clips_to_arena_and_action_box():
     assert r.next_state[1] == pytest.approx(10.0)
 
 
+def basic_nav_sweep(env):
+    """Seeded states, goals and actions beyond the box, plus rows pushed into
+    the arena walls and rows that stand still on the goal radius and the
+    hazard radius, each also one ulp either side. The hazard rows include
+    every one of a dense ring on which np.hypot and math.hypot fall on
+    different sides of the radius."""
+    rng = np.random.default_rng(23)
+    goals_all = np.array(env.cfg["train_goals"], dtype=float)
+    n = 3000
+    states = rng.uniform(0.0, 10.0, (n, 2))
+    actions = rng.uniform(-1.6, 1.6, (n, 2))
+    walls = np.array([[0.01, 5.0], [9.99, 5.0], [3.0, 0.02], [3.0, 9.98], [0.0, 10.0]])
+    states = np.vstack([states, walls])
+    actions = np.vstack([actions, [[-1.0, 0.0], [1.5, 0.0], [0.3, -2.0], [0.0, 1.0],
+                                   [-1.0, 1.0]]])
+    goals = goals_all[rng.integers(len(goals_all), size=len(states))]
+
+    m, hazard, radius = 6000, np.array(env.cfg["hazard_center"]), env.cfg["hazard_radius"]
+    th = rng.uniform(0.0, 2.0 * math.pi, m)
+    unit = np.column_stack([np.cos(th), np.sin(th)])
+    ring_goals = goals_all[np.arange(m) % 4]
+    ring = np.vstack([ring_goals[:200] + env.cfg["goal_radius"] * unit[:200],
+                      hazard + radius * unit[200:]])
+    ring = np.vstack([np.column_stack([np.nextafter(ring[:, 0], toward), ring[:, 1]])
+                      for toward in (-np.inf, ring[:, 0], np.inf)])
+    dx, dy = (ring - hazard).T
+    split = (np.hypot(dx, dy) < radius) != np.array(
+        [math.hypot(x, y) < radius for x, y in zip(dx, dy)])
+    assert split.any()
+    keep = (np.arange(len(ring)) % m < 400) | split
+    # a zero action leaves the position exactly where it stands
+    states = np.vstack([states, ring[keep]])
+    actions = np.vstack([actions, np.zeros((keep.sum(), 2))])
+    goals = np.vstack([goals, np.tile(ring_goals, (3, 1))[keep]])
+    return states, actions, goals
+
+
+def test_basic_nav_step_batch_matches_step():
+    env = make_env("basic_nav")
+    states, actions, goals = basic_nav_sweep(env)
+    nxt, rewards, costs, done = env.step_batch(states, actions, goals)
+    for i, (s, a, g) in enumerate(zip(states, actions, goals)):
+        env.reset(TaskSpec("goal", goal=tuple(g)), None)
+        r = env.step(s, a)
+        assert nxt[i].tobytes() == r.next_state.tobytes()
+        assert np.float64(rewards[i]).tobytes() == np.float64(r.reward).tobytes()
+        assert costs[i].tobytes() == r.cost_features.tobytes()
+        assert done[i] == r.done
+    # the sweep reaches the walls, both sides of both radii and every goal
+    assert np.any(nxt == 0.0) and np.any(nxt == 10.0)
+    assert done.any() and not done.all()
+    assert costs.any() and not costs.all()
+    assert len({tuple(g) for g in goals[done]}) == 4
+    hz = env.cfg["hazard_center"]
+    d_hz = np.array([math.hypot(x - hz[0], y - hz[1]) for x, y in nxt])
+    near = np.abs(d_hz - env.cfg["hazard_radius"]) < 1e-12
+    assert costs[near].any() and not costs[near].all()
+
+
 def test_basic_nav_hazard_cost():
     env = make_env("basic_nav")
     assert env.true_cost(np.array([5.0, 5.0]))[0] == 1.0

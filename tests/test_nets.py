@@ -94,6 +94,32 @@ class TestMlp:
             denom = max(1.0, float(np.abs(w).max()))
             assert np.abs(g - w).max() / denom < 1e-6
 
+    @pytest.mark.parametrize("in_dim,hidden,out_dim",
+                             [(2, 8, 4), (2, 64, 2), (4, 16, 2), (4, 65, 2)])
+    def test_forward_rows_is_one_row_forward_per_row(self, in_dim, hidden, out_dim):
+        # the envs' policy shapes (obs 2 or 4, out 2 x action dim); one
+        # (n, k) @ W does not round every row as a one-row call does
+        rng = np.random.default_rng(hidden)
+        net = Mlp(in_dim, hidden, out_dim, rng)
+        for b in net.biases:
+            b[:] = rng.normal(scale=0.1, size=b.shape)
+        x = rng.normal(size=(33, in_dim))
+        for rows in (x, x[::3], x[5:6], x[[7, 2, 30, 2]], x[:20]):
+            got = net.forward_rows(rows)
+            assert got.shape == (len(rows), out_dim)
+            for i, r in enumerate(rows):
+                assert got[i].tobytes() == net.forward(r).tobytes()
+
+    def test_forward_rows_keeps_the_backward_cache(self):
+        rng = np.random.default_rng(4)
+        net = Mlp(2, 8, 2, rng)
+        x = rng.normal(size=(5, 2))
+        net.forward(x)
+        want = net.backward(np.ones((5, 2)))
+        net.forward_rows(rng.normal(size=(3, 2)))
+        for g, w in zip(net.backward(np.ones((5, 2))), want):
+            assert np.array_equal(g, w)
+
     def test_backward_before_forward_raises(self):
         net = Mlp(2, 4, 1, np.random.default_rng(5))
         with pytest.raises(RuntimeError):

@@ -74,6 +74,24 @@ def test_policy_act_and_log_prob():
     assert pol.log_prob(np.zeros(3), a)[0] == pytest.approx(manual, rel=1e-9)
 
 
+@pytest.mark.parametrize("obs_dim,low,hidden", [(2, [-1.0, -1.0], 64),
+                                                (2, [-1.0], 64), (4, [-1.0], 16)])
+def test_act_rows_is_act_per_row(obs_dim, low, hidden):
+    pol = GaussianPolicy(obs_dim, low, [1.0] * len(low), hidden=hidden,
+                         rng=np.random.default_rng(obs_dim))
+    obs = np.random.default_rng(8).normal(size=(20, obs_dim))
+    for rows in (obs, obs[::3], obs[4:5]):
+        rngs = [np.random.default_rng([9, i]) for i in range(len(rows))]
+        twins = [np.random.default_rng([9, i]) for i in range(len(rows))]
+        got = pol.act_rows(rows, rngs)
+        assert got.shape == (len(rows), len(low))
+        for i, (o, twin) in enumerate(zip(rows, twins)):
+            assert got[i].tobytes() == pol.act(o, twin).tobytes()
+        # each generator drew exactly what act drew from its twin
+        for rng, twin in zip(rngs, twins):
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_policy_save_load_round_trip(tmp_path):
     pol = GaussianPolicy(4, [-1.0], [1.0], hidden=8, rng=np.random.default_rng(2))
     path = tmp_path / "pol.ckpt"

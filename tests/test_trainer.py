@@ -37,6 +37,7 @@ from dial.trainer import (
     load_policy,
     rollout_metrics,
     run_episode,
+    run_episodes,
     safe_il,
     safe_tl,
     task_mode_for,
@@ -129,6 +130,15 @@ class TestTrainConfig:
                     {"hidden_constraint": 0}):
             with pytest.raises(ConfigError):
                 TrainConfig(env="basic_nav", stage="eval", **bad)
+
+    def test_numeric_fields_checked_by_type(self):
+        for key, bad in (("seed", True), ("seed", np.float64(2.0)),
+                         ("n_rollouts", 2.0), ("lam", False), ("lam", "0.5")):
+            with pytest.raises(ConfigError, match=key):
+                TrainConfig(env="basic_nav", stage="eval", **{key: bad})
+        cfg = TrainConfig(env="basic_nav", stage="eval", seed=np.int64(4), lam=1,
+                          beta=np.float64(0.5))
+        assert cfg.seed == 4 and cfg.lam == 1
 
     def test_dict_round_trip(self):
         cfg = TrainConfig.for_env("cartpole", "safe-tl", seed=5)
@@ -286,6 +296,67 @@ class TestEvaluate:
         _, detail = evaluate(cfg, self._policy())
         assert len(detail) == 6
         assert sorted({row["seed"] for row in detail}) == [1, 2, 3]
+
+
+class TestLockstep:
+    """evaluate steps every basic_nav and mountain_car episode together
+    through run_episodes; each must stay bit for bit the run_episode of its
+    own stream, also when rows reach their goals at different steps."""
+
+    EARLY = {"basic_nav": {"goal_radius": 9.0, "horizon": 600},
+             "mountain_car": {"goal_position": -0.35}}
+
+    @staticmethod
+    def _policy(env, bias):
+        pol = GaussianPolicy(env.state_dim, env.action_low, env.action_high, 64,
+                             np.random.default_rng(3))
+        pol.net.biases[2][: pol.head.dim] = bias
+        return pol
+
+    @pytest.mark.parametrize("env_name", sorted(EARLY))
+    @pytest.mark.parametrize("bias", [0.0, 0.8])
+    def test_evaluate_is_one_episode_per_stream(self, env_name, bias):
+        ec, seeds = self.EARLY[env_name], [0, 7, 123]
+        env = make_env(env_name, ec)
+        pol = self._policy(env, bias)
+        metrics, detail = evaluate(TrainConfig.for_env(
+            env_name, "eval", eval_episodes=4, eval_seeds=seeds, env_config=ec), pol)
+        mode = task_mode_for(env_name, "eval")
+        taus, infos, expect = [], [], []
+        for s in seeds:
+            for ep in range(4):
+                rng = np.random.default_rng(np.random.SeedSequence([s, ep]))
+                tau, info = run_episode(env, pol, env.sample_task(rng, mode), rng)
+                taus.append(tau)
+                infos.append(info)
+                expect.append({"seed": s, "episode": ep,
+                               "rr": float(tau.extrinsic_rewards.sum()),
+                               "cr": [float(v) for v in tau.cost_features.sum(axis=0)],
+                               "len": len(tau), "goal": bool(info["goal"])})
+        assert detail == expect
+        assert metrics.to_dict() == rollout_metrics(env, taus, infos).to_dict()
+        if bias:
+            lens = [row["len"] for row in detail]
+            assert any(row["goal"] for row in detail) and len(set(lens)) > 1
+
+    def test_run_episodes_rows_chase_their_own_goals(self):
+        env = make_env("basic_nav", {"goal_radius": 8.0, "horizon": 200})
+        pol = self._policy(env, 0.8)
+        rngs = [np.random.default_rng([21, i]) for i in range(12)]
+        tasks = [env.sample_task(rng, "il") for rng in rngs]
+        starts = [env.reset(task, rng) for task, rng in zip(tasks, rngs)]
+        goals = np.array([task.goal for task in tasks])
+        *recs, lens, goal = run_episodes(
+            env, starts, lambda obs: pol.act_rows(obs, rngs), goals)
+        for i in range(12):
+            twin = np.random.default_rng([21, i])
+            tau, info = run_episode(env, pol, env.sample_task(twin, "il"), twin)
+            assert lens[i] == len(tau) and goal[i] == info["goal"]
+            for rec, arr in zip(recs, (tau.states, tau.actions,
+                                       tau.extrinsic_rewards, tau.cost_features)):
+                assert rec[:lens[i], i].tobytes() == arr.tobytes()
+        assert len({task.goal for task in tasks}) >= 3
+        assert goal.any() and len(set(lens)) > 1
 
 
 class TestExpertCertification:
@@ -691,6 +762,22 @@ def test_benchmark_hooks_resolve(monkeypatch):
     assert counts["trainer.run_episode"] == [len(t) for t in trajs]
     assert len(counts["envs.step"]) == steps == sum(len(t) for t in trajs)
     assert trainer.dial_threads() == 1
+    # lockstep evaluation runs no run_episode; the per-episode path still does
+    for env_name, episodes in (("basic_nav", 3), ("cartpole", 2)):
+        env = make_env(env_name, ENV_SMALL[env_name])
+        policy = GaussianPolicy(env.state_dim, env.action_low, env.action_high, 4, rng)
+        cfg = TrainConfig.for_env(env_name, "eval", eval_episodes=episodes,
+                                  env_config=ENV_SMALL[env_name])
+        tracer = spans.Tracer(0)
+        try:
+            tracer.install()
+            trainer.evaluate(cfg, policy)
+        finally:
+            tracer.uninstall()
+        names = [tracer.names[i] for i in tracer.name]
+        assert names.count("trainer.evaluate") == 1
+        assert names.count("trainer.run_episode") == (
+            0 if env_name == "basic_nav" else episodes)
     for spec in inputs.WORKLOADS.values():
         for stage in inputs.STAGES:
             TrainConfig.for_env(spec["env"], inputs.CFG_STAGE[stage], **spec[stage])
