@@ -25,6 +25,13 @@ def budget_from_horizon(cost_limit: float, gamma: float, horizon: int) -> float:
     return (1.0 - gamma) * cost_limit / (1.0 - gamma ** horizon)
 
 
+def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row dot products of two (n, k) arrays as stacked (1, k) @ (k, 1)
+    matmuls: each rounds as the 1-D ndarray dot (and np.linalg.norm) of
+    that row does, where a sum over axis 1 does not on every row."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 def wrap_angle(theta):
     """Angle (scalar or array) wrapped into [-pi, pi)."""
     return (theta + math.pi) % (2.0 * math.pi) - math.pi

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from .base import Environment, StepResult, TaskSpec, budget_from_horizon, merge_config
+from .base import (Environment, StepResult, TaskSpec, budget_from_horizon,
+                   merge_config, row_dots)
 
 DEFAULTS = {
     "gamma": 0.99,
@@ -57,15 +58,19 @@ class BasicNav(Environment):
         return np.asarray(self.cfg["start"], dtype=float).copy()
 
     def step(self, state: np.ndarray, action) -> StepResult:
-        a = np.clip(np.asarray(action, dtype=float).reshape(-1), -1.0, 1.0)
+        # np.minimum/np.maximum and sqrt of the ndarray dot give np.clip's and
+        # np.linalg.norm's bits at less call overhead; a Python x*x + y*y
+        # would not, as the 2-element dot may round once through an FMA
+        a = np.asarray(action, dtype=float).reshape(-1)
+        a = np.minimum(np.maximum(a, -1.0), 1.0)
         task = getattr(self, "_task", None)
-        pos = np.clip(state + a * self.cfg["dt"], 0.0, self.cfg["arena"])
+        pos = np.minimum(np.maximum(state + a * self.cfg["dt"], 0.0), self.cfg["arena"])
         reward = 0.0
         done = False
         if task is not None and task.goal is not None:
             goal = np.asarray(task.goal, dtype=float)
-            d_prev = float(np.linalg.norm(state - goal))
-            d_new = float(np.linalg.norm(pos - goal))
+            v_prev, v_new = state - goal, pos - goal
+            d_prev, d_new = math.sqrt(v_prev.dot(v_prev)), math.sqrt(v_new.dot(v_new))
             reward = self.cfg["progress_reward"] * (d_prev - d_new)
             done = d_new < self.cfg["goal_radius"]
         return StepResult(pos, reward, self.true_cost(pos), done,
@@ -80,10 +85,8 @@ class BasicNav(Environment):
         pos = np.clip(states + np.clip(actions, -1.0, 1.0) * c["dt"], 0.0, c["arena"])
 
         def dist(p):
-            # a stacked per-row dot rounds as the scalar np.linalg.norm does;
-            # a sum or norm over axis 1 does not on every row
             d = p - goals
-            return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+            return np.sqrt(row_dots(d, d))
 
         d_new = dist(pos)
         reward = c["progress_reward"] * (dist(states) - d_new)

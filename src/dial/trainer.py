@@ -7,6 +7,15 @@ What differs between environments (stage budgets, task families, the
 demonstrators, and whether a driving controller with a threshold constraint
 replaces the Gaussian policy and the per-step Beta model) is one row of
 RECIPES; the stages themselves are shared.
+
+Rollout streams: each episode draws its task, then its start (env.reset),
+in episode order. run_tasks steps the episodes of an env with step_batch
+and a policy with act_rows in lockstep, each on a stream of its own:
+evaluate's SeedSequence([seed, episode]), which drew its task too, or
+expert-gen's child rng.spawn(n_experts)[i], which leaves the stage
+stream's draws as they were. Anything else runs one episode at a time on
+the stage stream, so an expert that draws nothing per step writes the same
+demonstrations on either path.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .constraint import (
 )
 from .dataio import read_dataset, write_dataset, write_metrics
 from .envs import make_env
+from .envs.base import row_dots
 from .nets import AdamState, load_checkpoint, save_checkpoint
 from .policyopt import (
     GaussianPolicy,
@@ -75,8 +85,10 @@ class Recipe:
     of expert-gen, then of safe-tl and eval (safe-il draws "il"). driving
     swaps the Gaussian policy and per-step Beta model for controller CEM
     rounds against a threshold constraint. experts(env, cfg, rng, mode)
-    returns the demonstrators, CEM-searched controllers or closed-form
-    guidance laws, as {task goal, or None for any task: policy}.
+    builds the demonstrators, CEM-searched controllers or closed-form
+    guidance laws, and returns policy_for: a task's goal (or None) to the
+    policy that demonstrates it, or one goal row per task to the one that
+    demonstrates each row (see run_tasks).
     """
 
     il_steps: int
@@ -343,6 +355,10 @@ class PumpPolicy(GainPolicy):
         return np.where((v >= 0.0) | (x <= brake_line) | (v <= -retreat_cap),
                         1.0, -1.0)
 
+    def act_rows(self, obs, rngs):
+        """act over observation rows, bit for bit; draws nothing."""
+        return self.act_batch(self.gains, obs)
+
 
 class BalancePolicy(GainPolicy):
     """Linear state feedback clip(k . obs, -1, 1) for balancing a pole.
@@ -365,7 +381,8 @@ class DetourPolicy:
     Aims at the goal; when the straight run would cut the disc inflated by
     margin, aims along the nearer tangent instead, and when already inside
     the shell slides along it with an outward bias.  Jitter adds small
-    action noise so repeated runs do not collapse onto one curve.
+    action noise so repeated runs do not collapse onto one curve.  goal is
+    one point, or for act_rows one point per row.
     """
 
     def __init__(self, goal, hazard_center, hazard_radius,
@@ -405,6 +422,48 @@ class DetourPolicy:
         a = u / max(abs(float(u[0])), abs(float(u[1])), 1e-9)
         if self.jitter:
             a = a + self.jitter * rng.standard_normal(2)
+        return np.clip(a, -1.0, 1.0)
+
+    def act_rows(self, obs, rngs):
+        """act over observation rows, each toward its goal with its own
+        generator: row i is bit for bit act(obs[i], rngs[i]) toward goal i
+        and draws from rngs[i] what it draws. Dots are per-row matmuls and
+        the trig is math's, per blocked row, as numpy's may round otherwise."""
+        p = np.asarray(obs, dtype=float)
+        to_goal = self.goal - p
+        dg = np.sqrt(row_dots(to_goal, to_goal))
+        vc = self.hazard - p
+        d = np.sqrt(row_dots(vc, vc))
+        moving = dg >= 1e-9
+        u = to_goal / np.where(moving, dg, 1.0)[:, None]
+        inside = d <= self.avoid
+        i = np.flatnonzero(inside & (d > 1e-9))
+        if i.size:
+            radial = -vc[i] / d[i, None]
+            tang = np.stack([-radial[:, 1], radial[:, 0]], axis=1)
+            flip = row_dots(tang, u[i]) < 0.0
+            tang[flip] = -tang[flip]
+            v = tang + 0.5 * radial
+            u[i] = v / np.sqrt(row_dots(v, v))[:, None]
+        proj = row_dots(vc, u)
+        j = np.flatnonzero(~inside & (proj > 0.0) & (proj < dg + self.avoid)
+                           & (d * d - proj * proj < self.avoid ** 2))
+        if j.size:
+            t_len = np.sqrt(np.maximum(d[j] * d[j] - self.avoid ** 2, 1e-12))
+            alpha = [math.atan2(self.avoid, t) for t in t_len.tolist()]
+            ca = np.array([math.cos(x) for x in alpha])
+            sa = np.array([math.sin(x) for x in alpha])
+            cu = vc[j] / d[j, None]
+            x, y = cu[:, 0], cu[:, 1]
+            c1 = np.stack([ca * x - sa * y, sa * x + ca * y], axis=1)
+            c2 = np.stack([ca * x + sa * y, -sa * x + ca * y], axis=1)
+            uj = u[j]
+            u[j] = np.where((row_dots(c1, uj) >= row_dots(c2, uj))[:, None], c1, c2)
+        a = u / np.maximum(np.maximum(np.abs(u[:, 0]), np.abs(u[:, 1])), 1e-9)[:, None]
+        a[~moving] = 0.0
+        k = np.flatnonzero(moving)
+        if self.jitter and k.size:
+            a[k] += self.jitter * np.array([rngs[r].standard_normal(2) for r in k])
         return np.clip(a, -1.0, 1.0)
 
     def _blocked(self, u, dg: float, vc, d: float) -> bool:
@@ -523,31 +582,55 @@ def run_episodes(env, starts, act, goals=None) -> tuple:
     return states, actions, rewards, costs, lens, ~live
 
 
+def run_tasks(env, jobs, policy_for) -> list:
+    """One episode per job (task, rng, row_rng), as (Trajectory, info) pairs.
+
+    policy_for(goal) is the policy that acts toward a task's goal, which may
+    be None, and must give every goal the same kind of policy; given one
+    goal row per task (or None where a task has no goal), it acts toward
+    each row's. Jobs are drawn in order. With env.step_batch and a policy
+    with act_rows, each task is reset on its rng as its job is drawn, then
+    every episode runs in lockstep through run_episodes, row i drawing only
+    from its row_rng: bit for bit run_episode(env, policy_for(task.goal),
+    task, row_rng) from that start. Otherwise each job runs
+    run_episode(env, policy_for(task.goal), task, rng) before the next one
+    is drawn.
+    """
+    results, rows = [], []
+    for task, rng, row_rng in jobs:
+        policy = policy_for(task.goal)
+        if hasattr(env, "step_batch") and hasattr(policy, "act_rows"):
+            rows.append((task, env.reset(task, rng), row_rng))
+        else:
+            results.append(run_episode(env, policy, task, rng))
+    if not rows:
+        return results
+    tasks, starts, rngs = zip(*rows)
+    goals = (None if any(task.goal is None for task in tasks)
+             else np.array([task.goal for task in tasks], dtype=float))
+    policy = policy_for(goals)
+    *recs, lens, goal = run_episodes(
+        env, starts, lambda obs: policy.act_rows(obs, rngs), goals)
+    return results + [
+        (Trajectory(*(r[:n, i] for r in recs), task=task), {"goal": bool(g)})
+        for i, (n, g, task) in enumerate(zip(lens, goal, tasks))]
+
+
 def evaluate(cfg: TrainConfig, policy) -> tuple:
     """Metrics over eval_episodes per seed, with per-episode detail.
 
     Each episode draws only from its own SeedSequence([seed, episode])
-    stream, so its result does not depend on the other episodes. An env
-    with step_batch and a policy with act_rows run every episode in
-    lockstep through run_episodes, each row bit for bit the run_episode of
-    its stream; others run the episodes one by one.
+    stream, so its result does not depend on the other episodes, and
+    run_tasks may step them in lockstep.
     """
     task_mode = task_mode_for(cfg.env, "eval")
     seeds = cfg.eval_seeds if cfg.eval_seeds else [cfg.seed]
     jobs = [(int(s), ep) for s in seeds for ep in range(cfg.eval_episodes)]
     env = make_env(cfg.env, cfg.env_config)
     rngs = [np.random.default_rng(np.random.SeedSequence(job)) for job in jobs]
-    tasks = [env.sample_task(rng, task_mode) for rng in rngs]
-    if hasattr(env, "step_batch") and hasattr(policy, "act_rows"):
-        starts = [env.reset(task, rng) for task, rng in zip(tasks, rngs)]
-        goals = np.array([task.goal for task in tasks], dtype=float)
-        *recs, lens, goal = run_episodes(
-            env, starts, lambda obs: policy.act_rows(obs, rngs), goals)
-        results = [(Trajectory(*(r[:n, i] for r in recs), task=task), {"goal": bool(g)})
-                   for i, (n, g, task) in enumerate(zip(lens, goal, tasks))]
-    else:
-        results = [run_episode(env, policy, task, rng)
-                   for task, rng in zip(tasks, rngs)]
+    results = run_tasks(
+        env, ((env.sample_task(rng, task_mode), rng, rng) for rng in rngs),
+        lambda goal: policy)
     metrics = rollout_metrics(env, [tau for tau, _ in results],
                               [info for _, info in results])
     detail = [{"seed": s, "episode": ep,
@@ -658,10 +741,10 @@ def _cem_round(policy, evaluate_candidates, n_samp: int,
             "elite_violation": float(viols[order[:n_elite]].sum(axis=1).mean())}
 
 
-def _train_expert_controller(env, cfg: TrainConfig, rng, task_mode: str,
-                             make_policy=ControllerPolicy,
-                             n_gains: int | None = None,
-                             episode_tail: bool = False):
+def _controller_expert(env, cfg: TrainConfig, rng, task_mode: str,
+                       make_policy=ControllerPolicy, n_gains: int | None = None,
+                       episode_tail: bool = False):
+    """Search one controller by CEM; it demonstrates every task."""
     n = env.action_dim if n_gains is None else n_gains
     policy = make_policy(np.zeros(n), np.full(n, cfg.controller_std0))
     thresholds = np.atleast_1d(np.asarray(env.eps, dtype=float)) * cfg.expert_eps_frac
@@ -671,34 +754,29 @@ def _train_expert_controller(env, cfg: TrainConfig, rng, task_mode: str,
     for _ in range(cfg.cem_iter):
         _cem_round(policy, evaluate_candidates, cfg.cem_samp, cfg.cem_elite,
                    1e-6, rng)
-    return policy
+    return lambda goal: policy
 
 
-def _controller_expert(env, cfg, rng, mode) -> dict:
-    return {None: _train_expert_controller(env, cfg, rng, mode)}
-
-
-def _pump_expert(env, cfg, rng, mode) -> dict:
+def _pump_expert(env, cfg, rng, mode):
     # a bang-bang pump found by the same constrained search the driving env
     # uses; certification runs n_experts fresh starts, so the candidate tail
     # needs more than a handful of eval episodes or the elite parks itself on
     # the line
     pump_cfg = replace(cfg, cem_eval_episodes=max(cfg.cem_eval_episodes, 16))
-    return {None: _train_expert_controller(env, pump_cfg, rng, mode, PumpPolicy,
-                                           n_gains=2, episode_tail=True)}
+    return _controller_expert(env, pump_cfg, rng, mode, PumpPolicy, n_gains=2,
+                              episode_tail=True)
 
 
-def _detour_experts(env, cfg, rng, mode) -> dict:
-    # one guidance law per training goal; the observation has no goal in it,
-    # and the scaled step budget is too thin to learn four reaching policies
-    return {tuple(g): DetourPolicy(g, env.cfg["hazard_center"],
-                                   env.cfg["hazard_radius"])
-            for g in env.cfg["train_goals"]}
+def _detour_experts(env, cfg, rng, mode):
+    # one guidance law per goal; the observation has no goal in it, and the
+    # scaled step budget is too thin to learn four reaching policies
+    return lambda goal: DetourPolicy(goal, env.cfg["hazard_center"],
+                                     env.cfg["hazard_radius"])
 
 
-def _balance_expert(env, cfg, rng, mode) -> dict:
-    return {None: _train_expert_controller(env, cfg, rng, mode, BalancePolicy,
-                                           n_gains=4, episode_tail=True)}
+def _balance_expert(env, cfg, rng, mode):
+    return _controller_expert(env, cfg, rng, mode, BalancePolicy, n_gains=4,
+                              episode_tail=True)
 
 
 RECIPES = {
@@ -736,6 +814,14 @@ def check_expert_manifest(dataset_path) -> dict:
 def generate_experts(cfg: TrainConfig, out_dir) -> dict:
     """Build the recipe's experts, roll demonstrations, certify, then write.
 
+    Each demonstration draws its task, then its start, from the stage
+    stream (seeded by cfg.seed), in order. On an env with step_batch and
+    experts with act_rows, the demonstrations then run in lockstep, demo i
+    stepping on the child stream rng.spawn(n_experts)[i]; otherwise each
+    runs on the stage stream before the next task is drawn. Spawning leaves
+    the stage stream's draws as they were, so experts that draw nothing per
+    step write the same bytes on either path.
+
     Raises ExpertInfeasibleError (writing nothing) when the demonstrations
     break the env budget scaled by safety_margin.
     """
@@ -744,15 +830,10 @@ def generate_experts(cfg: TrainConfig, out_dir) -> dict:
     env = make_env(cfg.env, cfg.env_config)
     rng = np.random.default_rng(cfg.seed)
     mode = task_mode_for(cfg.env, "expert-gen")
-    policies = RECIPES[cfg.env].experts(env, cfg, rng, mode)
-
-    trajs, infos = [], []
-    for _ in range(cfg.n_experts):
-        task = env.sample_task(rng, mode)
-        pol = policies.get(task.goal, policies.get(None))
-        tau, info = run_episode(env, pol, task, rng)
-        trajs.append(tau)
-        infos.append(info)
+    policy_for = RECIPES[cfg.env].experts(env, cfg, rng, mode)
+    jobs = ((env.sample_task(rng, mode), rng, child)
+            for child in rng.spawn(cfg.n_experts))
+    trajs, infos = map(list, zip(*run_tasks(env, jobs, policy_for)))
     metrics = rollout_metrics(env, trajs, infos)
     cv_limit = env.eps_scalar * cfg.safety_margin
     if metrics.cv > cv_limit:

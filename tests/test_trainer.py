@@ -23,6 +23,7 @@ from dial.trainer import (
     BalancePolicy,
     ConfigError,
     ControllerPolicy,
+    DetourPolicy,
     ExpertInfeasibleError,
     Metrics,
     PumpPolicy,
@@ -38,6 +39,7 @@ from dial.trainer import (
     rollout_metrics,
     run_episode,
     run_episodes,
+    run_tasks,
     safe_il,
     safe_tl,
     task_mode_for,
@@ -357,6 +359,152 @@ class TestLockstep:
                 assert rec[:lens[i], i].tobytes() == arr.tobytes()
         assert len({task.goal for task in tasks}) >= 3
         assert goal.any() and len(set(lens)) > 1
+
+    def test_run_tasks_takes_goalless_tasks(self):
+        # mountain_car's "il" tasks are "explore", with no goal to stack
+        env = make_env("mountain_car", {"horizon": 80})
+        pol = self._policy(env, 0.8)
+        rngs = [np.random.default_rng([22, i]) for i in range(5)]
+        jobs = ((env.sample_task(rng, "il"), rng, rng) for rng in rngs)
+        results = run_tasks(env, jobs, lambda goal: pol)
+        for i, (tau, info) in enumerate(results):
+            twin = np.random.default_rng([22, i])
+            task = env.sample_task(twin, "il")
+            assert task.goal is None and tau.task == task
+            want, want_info = run_episode(env, pol, task, twin)
+            assert info == want_info
+            for got, arr in zip((tau.states, tau.actions, tau.extrinsic_rewards,
+                                 tau.cost_features),
+                                (want.states, want.actions, want.extrinsic_rewards,
+                                 want.cost_features)):
+                assert got.tobytes() == arr.tobytes()
+
+
+class TestDetourRows:
+    """basic_nav's guidance laws step their demonstrations together:
+    DetourPolicy.act_rows must be act row for row, on every branch."""
+
+    @staticmethod
+    def _rows():
+        env = make_env("basic_nav")
+        rng = np.random.default_rng(11)
+        goals = np.array(env.cfg["train_goals"] + [env.cfg["meta_goal"]], dtype=float)
+        hazard = np.array(env.cfg["hazard_center"])
+        n = 600
+        obs = rng.uniform(0.0, 10.0, (n, 2))
+        # a third of the rows near or inside the disc, some on its rim
+        obs[: n // 3] = hazard + rng.uniform(-2.4, 2.4, (n // 3, 2))
+        obs[n // 3: n // 3 + 20] = hazard + 2.3 * np.stack(
+            [np.cos(np.arange(20.0)), np.sin(np.arange(20.0))], axis=1)
+        obs[-1] = hazard
+        g = goals[rng.integers(len(goals), size=n)]
+        # rows sitting on their goal, exactly and within 1e-9
+        g[-6:-3] = obs[-6:-3]
+        g[-3:-1] = obs[-3:-1] + 1e-10
+        return env, obs, g
+
+    @staticmethod
+    def _branch(pol, p):
+        to_goal = pol.goal - p
+        dg = float(np.linalg.norm(to_goal))
+        if dg < 1e-9:
+            return "goal"
+        vc = pol.hazard - p
+        d = float(np.linalg.norm(vc))
+        if d <= pol.avoid:
+            return "inside" if d > 1e-9 else "center"
+        return "blocked" if pol._blocked(to_goal / dg, dg, vc, d) else "straight"
+
+    @pytest.mark.parametrize("jitter", [0.1, 0.0])
+    def test_act_rows_is_act_per_row(self, jitter):
+        env, obs, goals = self._rows()
+        hz, hr = env.cfg["hazard_center"], env.cfg["hazard_radius"]
+        rngs = [np.random.default_rng([12, i]) for i in range(len(obs))]
+        got = DetourPolicy(goals, hz, hr, jitter=jitter).act_rows(obs, rngs)
+        assert got.shape == obs.shape
+        branches = set()
+        for i, (p, g) in enumerate(zip(obs, goals)):
+            pol = DetourPolicy(g, hz, hr, jitter=jitter)
+            twin = np.random.default_rng([12, i])
+            want = pol.act(p, twin)
+            assert got[i].tobytes() == want.tobytes(), i
+            assert rngs[i].bit_generator.state == twin.bit_generator.state
+            branches.add(self._branch(pol, p))
+        assert branches == {"goal", "inside", "center", "blocked", "straight"}
+        # one goal for every row broadcasts
+        pol = DetourPolicy(goals[0], hz, hr, jitter=0.0)
+        assert np.array_equal(pol.act_rows(obs, rngs)[3], pol.act(obs[3], None))
+
+
+def _serial_demos(cfg: TrainConfig, out: Path) -> tuple:
+    """The dataset and manifest bytes of rolling cfg's demonstrations one
+    run_episode at a time on the stage stream."""
+    env = make_env(cfg.env, cfg.env_config)
+    rng = np.random.default_rng(cfg.seed)
+    mode = task_mode_for(cfg.env, "expert-gen")
+    policy_for = RECIPES[cfg.env].experts(env, cfg, rng, mode)
+    trajs, infos = [], []
+    for _ in range(cfg.n_experts):
+        task = env.sample_task(rng, mode)
+        tau, info = run_episode(env, policy_for(task.goal), task, rng)
+        trajs.append(tau)
+        infos.append(info)
+    m = rollout_metrics(env, trajs, infos)
+    write_dataset(out, trajs)
+    cv_limit = env.eps_scalar * cfg.safety_margin
+    manifest = {"v": 1, "env": cfg.env, "seed": cfg.seed, "n_trajectories": len(trajs),
+                "rr": m.rr, "cr": [float(v) for v in m.cr], "cv": m.cv,
+                "goal_rate": m.goal_rate, "budget": env.eps_scalar,
+                "cv_limit": cv_limit, "certified": True}
+    return out.read_bytes(), json.dumps(manifest, sort_keys=True, indent=1) + "\n"
+
+
+class TestExpertDemos:
+    """Demonstrations run in lockstep where the env and expert allow it; the
+    experts that draw nothing per step must write what the serial loop did."""
+
+    MC_BENCH = {"cem_samp": 24, "cem_elite": 4, "cem_iter": 1, "controller_std0": 0.5}
+
+    @pytest.mark.parametrize("env_name,over", [
+        ("mountain_car", {"seed": 700, **MC_BENCH}),
+        ("mountain_car", {"seed": 701, **MC_BENCH}),
+        ("cartpole", {"env_config": ENV_SMALL["cartpole"], **CEM_SMALL}),
+        ("intersection", {"n_experts": 12, "env_config": ENV_SMALL["intersection"],
+                          **CEM_SMALL}),
+    ])
+    def test_demos_match_the_serial_loop(self, tmp_path, env_name, over):
+        cfg = TrainConfig.for_env(env_name, "expert-gen", **over)
+        res = generate_experts(cfg, tmp_path / "exp")
+        dataset, manifest = _serial_demos(cfg, tmp_path / "serial.jsonl")
+        assert res["dataset"].read_bytes() == dataset
+        assert res["manifest"].read_text() == manifest
+
+    def test_nav_demos_are_run_episode_per_child_stream(self, tmp_path):
+        cfg = TrainConfig.for_env("basic_nav", "expert-gen", seed=4)
+        res = generate_experts(cfg, tmp_path / "exp")
+        env = make_env("basic_nav")
+        rng = np.random.default_rng(4)
+        children = np.random.default_rng(4).spawn(cfg.n_experts)
+        trajs, lens = [], []
+        for child in children:
+            task = env.sample_task(rng, "il")
+            pol = DetourPolicy(task.goal, env.cfg["hazard_center"],
+                               env.cfg["hazard_radius"])
+            tau, info = run_episode(env, pol, task, child)
+            assert info["goal"]
+            trajs.append(tau)
+            lens.append(len(tau))
+        write_dataset(tmp_path / "want.jsonl", trajs)
+        assert res["dataset"].read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        # rows end at different steps while the others keep going
+        assert len(set(lens)) > 1 and max(lens) < env.horizon
+
+    def test_nav_certifies_on_seeds_0_to_19(self, tmp_path):
+        for seed in range(20):
+            cfg = TrainConfig.for_env("basic_nav", "expert-gen", seed=seed)
+            res = generate_experts(cfg, tmp_path / str(seed))
+            man = check_expert_manifest(res["dataset"])
+            assert man["certified"] is True and man["cv"] <= man["cv_limit"]
 
 
 class TestExpertCertification:
@@ -725,7 +873,7 @@ class TestRecipes:
             assert run("b") == first
 
 
-def test_benchmark_hooks_resolve(monkeypatch):
+def test_benchmark_hooks_resolve(monkeypatch, tmp_path):
     """perfbench/ patches dial functions by name, measures their calls from
     their arguments and builds its workloads' configs through
     TrainConfig.for_env; all three must survive refactors."""
@@ -778,6 +926,16 @@ def test_benchmark_hooks_resolve(monkeypatch):
         assert names.count("trainer.evaluate") == 1
         assert names.count("trainer.run_episode") == (
             0 if env_name == "basic_nav" else episodes)
+    # nor do lockstep demonstrations
+    tracer = spans.Tracer(0)
+    try:
+        tracer.install()
+        trainer.generate_experts(nav_cfg("expert-gen", n_experts=3), tmp_path)
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.name]
+    assert names.count("trainer.generate_experts") == 1
+    assert names.count("trainer.run_episode") == names.count("envs.step") == 0
     for spec in inputs.WORKLOADS.values():
         for stage in inputs.STAGES:
             TrainConfig.for_env(spec["env"], inputs.CFG_STAGE[stage], **spec[stage])
