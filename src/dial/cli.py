@@ -18,13 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .betarisk import RiskLevel
-from .constraint import ConstraintModel, constraint_values
+from .constraint import PER_STEP_BETA, ConstraintModel, constraint_values
 from .dataio import DataFormatError, RunManifest, write_grid_csv, write_metrics
 from .envs import make_env
 from .trainer import (
     ConfigError,
     ExpertInfeasibleError,
     TrainConfig,
+    check_constraint,
+    check_policy,
     collect_rollouts,
     evaluate,
     generate_experts,
@@ -150,6 +152,7 @@ def _cmd_train_tl(args, out_dir: Path) -> tuple:
 def _cmd_eval(args, out_dir: Path) -> tuple:
     cfg = _build_cfg(args, "eval")
     policy = load_policy(args.policy)
+    check_policy(policy, make_env(cfg.env, cfg.env_config), args.policy)
     metrics, detail = evaluate(cfg, policy)
     payload = metrics.to_dict()
     payload["episodes"] = detail
@@ -169,7 +172,8 @@ def _cmd_export_constraint_map(args, out_dir: Path) -> tuple:
             f"constraint map needs a 2-d observation; '{cfg.env}' has "
             f"{env.state_dim}")
     model = ConstraintModel.load(args.constraint)
-    if model.mode != "per-step-beta":
+    check_constraint(model, env, args.constraint)
+    if model.mode != PER_STEP_BETA:
         raise ConfigError(f"{args.constraint}: map export needs a per-step model")
     bx, by = env.grid_bins
     lo = [float(v) for v in env.grid_lo]
@@ -194,6 +198,7 @@ def _cmd_export_visitation_map(args, out_dir: Path) -> tuple:
     cfg = _build_cfg(args, "eval")
     env = make_env(cfg.env, cfg.env_config)
     policy = load_policy(args.policy)
+    check_policy(policy, env, args.policy)
     rng = np.random.default_rng(cfg.seed)
     mode = task_mode_for(cfg.env, "eval")
     trajs, _, _ = collect_rollouts(env, policy, cfg.eval_episodes, rng, mode)

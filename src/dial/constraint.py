@@ -208,82 +208,60 @@ def _log_gamma_row_grads(cv: np.ndarray):
     return max(log_g, LOG_FLOOR), grads
 
 
-def _update_threshold(model, expert_batch, nominal_batch, omegas, lr_C, opt):
+def _report(aborted: bool, loss_e, loss_n, kl, grad_norm, omegas) -> dict:
+    return {"nan_aborted": aborted, "loss_expert": loss_e, "loss_nominal": loss_n,
+            "kl": kl, "grad_norm": grad_norm, "omegas": list(omegas)}
+
+
+def _update_threshold(model, sides, omegas, opt):
     grad = np.zeros_like(model.logits)
-    log_e = 0.0
-    for tau in expert_batch:
+    log_e = log_n = 0.0
+    eps_hat = model.thresholds
+    for w, n, tau in sides:
         terms = _threshold_terms(model, tau)
-        rates = tau.cost_features.mean(axis=0)
-        eps_hat = model.thresholds
-        active = rates > eps_hat
+        active = tau.cost_features.mean(axis=0) > eps_hat
         # d log term_i / d logit_i = sig'(l_i) / term_i where the hinge is on
-        grad += np.where(active, eps_hat * (1.0 - eps_hat) / terms, 0.0) / len(expert_batch)
-        log_e += float(np.log(terms).sum()) / len(expert_batch)
-    log_n = 0.0
-    for om, tau in zip(omegas, nominal_batch):
-        terms = _threshold_terms(model, tau)
-        rates = tau.cost_features.mean(axis=0)
-        eps_hat = model.thresholds
-        active = rates > eps_hat
-        grad -= om * np.where(active, eps_hat * (1.0 - eps_hat) / terms, 0.0) / len(nominal_batch)
-        log_n += om * float(np.log(terms).sum()) / len(nominal_batch)
+        grad += w * np.where(active, eps_hat * (1.0 - eps_hat) / terms, 0.0) / n
+        part = w * float(np.log(terms).sum()) / n
+        if w > 0:
+            log_e += part
+        else:
+            log_n -= part
     if not np.all(np.isfinite(grad)):
-        return {"nan_aborted": True, "loss_expert": log_e, "loss_nominal": log_n,
-                "kl": 0.0, "grad_norm": float("nan"), "omegas": list(omegas)}
-    if opt is not None:
-        opt.step([model.logits], [-grad])
-    else:
-        model.logits += lr_C * grad
-    return {"nan_aborted": False, "loss_expert": log_e, "loss_nominal": log_n,
-            "kl": 0.0, "grad_norm": float(np.linalg.norm(grad)), "omegas": list(omegas)}
+        return _report(True, log_e, log_n, 0.0, float("nan"), omegas)
+    opt.step([model.logits], [-grad])
+    return _report(False, log_e, log_n, 0.0, float(np.linalg.norm(grad)), omegas)
 
 
 def constraint_update(model: ConstraintModel, expert_batch: list, nominal_batch: list,
-                      lam: RiskLevel, lr_C: float = 1e-2, lr_P: float = 1e-2,
-                      prior: BetaParams = BetaParams(0.1, 0.9),
-                      prev_gamma: np.ndarray | None = None,
-                      opt: AdamState | None = None) -> dict:
+                      lam: RiskLevel, *, kl_weight: float, prior: BetaParams,
+                      prev_gamma: np.ndarray, opt: AdamState) -> dict:
     """One ascent step on the expert-vs-nominal criterion gap, KL-regularized.
 
     Maximizes E_expert[log gamma] - E_nominal[omega * log gamma] while
-    descending lr_P/lr_C times the mean Beta KL to the prior. Gradients reach
+    descending kl_weight times the mean Beta KL to the prior. Gradients reach
     the network by composing the CVaR and KL partials in the shape
-    parameters with exact backprop. When opt is given it consumes the combined
-    gradient (its own lr applies); otherwise plain SGD at lr_C. prev_gamma,
-    the nominal trajectories' lam = 1 criterion under the model they were
-    collected against, turns on importance weighting.
+    parameters with exact backprop; opt consumes the combined gradient at
+    its own lr. prev_gamma holds the nominal trajectories' lam = 1 criterion
+    under the model they were collected against, from which the importance
+    weights omega follow.
     """
     if not expert_batch or not nominal_batch:
         raise ValueError("need nonempty expert and nominal batches")
     # a poisoned model would crash the special functions before the gradient
     # NaN check could fire, so screen the parameters up front
     if not all(np.all(np.isfinite(p)) for p in model.params()):
-        return {"nan_aborted": True, "loss_expert": float("nan"),
-                "loss_nominal": float("nan"), "kl": float("nan"),
-                "grad_norm": float("nan"), "omegas": []}
-    if prev_gamma is None:
-        omegas = np.ones(len(nominal_batch))
-    else:
-        omegas = importance_weights(model, nominal_batch, prev_gamma)
+        nan = float("nan")
+        return _report(True, nan, nan, nan, nan, [])
+    omegas = importance_weights(model, nominal_batch, prev_gamma)
+    # (weight, batch size, trajectory): experts ascend, nominals descend by omega
+    sides = [(1.0, len(expert_batch), tau) for tau in expert_batch]
+    sides += [(-float(om), len(nominal_batch), tau) for om, tau in zip(omegas, nominal_batch)]
     if model.mode == THRESHOLD:
-        return _update_threshold(model, expert_batch, nominal_batch, omegas, lr_C, opt)
+        return _update_threshold(model, sides, omegas, opt)
 
-    rows = []
-    weights = []
-    spans = []
-    at = 0
-    for tau in expert_batch:
-        rows.append(np.concatenate([tau.states, tau.actions], axis=1))
-        weights.append(1.0 / len(expert_batch))
-        spans.append((at, at + len(tau)))
-        at += len(tau)
-    for om, tau in zip(omegas, nominal_batch):
-        rows.append(np.concatenate([tau.states, tau.actions], axis=1))
-        weights.append(-float(om) / len(nominal_batch))
-        spans.append((at, at + len(tau)))
-        at += len(tau)
-    x = np.concatenate(rows, axis=0)
-
+    x = np.concatenate([np.concatenate([tau.states, tau.actions], axis=1)
+                        for _, _, tau in sides])
     raw = model.net.forward(x)
     alphas = model.head.alphas(raw)
     cv, dc1, dc2 = cvar_grad_arr(alphas[:, 0], alphas[:, 1], lam.lam)
@@ -291,7 +269,9 @@ def constraint_update(model: ConstraintModel, expert_batch: list, nominal_batch:
 
     dalpha = np.zeros_like(alphas)
     loss_e = loss_n = 0.0
-    for w, (lo, hi) in zip(weights, spans):
+    hi = 0
+    for w, n, tau in sides:
+        lo, hi, w = hi, hi + len(tau), w / n
         log_g, row_g = _log_gamma_row_grads(cv[lo:hi])
         dalpha[lo:hi, 0] += w * row_g * dc1[lo:hi]
         dalpha[lo:hi, 1] += w * row_g * dc2[lo:hi]
@@ -300,24 +280,16 @@ def constraint_update(model: ConstraintModel, expert_batch: list, nominal_batch:
         else:
             loss_n += -w * log_g
     # KL term: mean over every step row of both batches
-    ratio = lr_P / lr_C
-    dalpha[:, 0] -= ratio * dk1 / len(x)
-    dalpha[:, 1] -= ratio * dk2 / len(x)
+    dalpha[:, 0] -= kl_weight * dk1 / len(x)
+    dalpha[:, 1] -= kl_weight * dk2 / len(x)
 
     draw = model.head.backward(raw, dalpha)
     grads = model.net.backward(draw)
     if not all(np.all(np.isfinite(g)) for g in grads):
-        return {"nan_aborted": True, "loss_expert": loss_e, "loss_nominal": loss_n,
-                "kl": float(kl.mean()), "grad_norm": float("nan"),
-                "omegas": list(omegas)}
+        return _report(True, loss_e, loss_n, float(kl.mean()), float("nan"), omegas)
     gnorm = math.sqrt(sum(float((g * g).sum()) for g in grads))
-    if opt is not None:
-        opt.step(model.net.params(), [-g for g in grads])
-    else:
-        for p, g in zip(model.net.params(), grads):
-            p += lr_C * g
-    return {"nan_aborted": False, "loss_expert": loss_e, "loss_nominal": loss_n,
-            "kl": float(kl.mean()), "grad_norm": gnorm, "omegas": list(omegas)}
+    opt.step(model.net.params(), [-g for g in grads])
+    return _report(False, loss_e, loss_n, float(kl.mean()), gnorm, omegas)
 
 
 def constraint_values(model: ConstraintModel, obs: np.ndarray, action: np.ndarray,

@@ -65,10 +65,6 @@ class ImportanceWeightSet:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def uniform(cls, m: int) -> "ImportanceWeightSet":
-        return cls(np.full(m, 1.0 / m))
-
 
 def knn_volume(radius: float, dim: int) -> float:
     """Volume of the dim-ball of the given radius."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,15 +72,34 @@ class StepResult:
     reward: float
     cost_features: np.ndarray
     done: bool
-    info: dict = field(default_factory=dict)
+
+
+def _fits(val, default) -> bool:
+    """Whether val is of default's kind: a number (not a bool) for a number,
+    a list of as many numbers for a vector, a non-empty list of such vectors
+    for a list of vectors."""
+    if isinstance(default, numbers.Real):
+        return isinstance(val, numbers.Real) and not isinstance(val, bool)
+    if not isinstance(val, (list, tuple)):
+        return False
+    if isinstance(default[0], list):
+        return len(val) > 0 and all(_fits(v, default[0]) for v in val)
+    return len(val) == len(default) and all(_fits(v, default[0]) for v in val)
 
 
 def merge_config(name: str, defaults: dict, overrides: dict | None) -> dict:
+    """defaults updated by overrides, each of its default's kind (_fits);
+    every grid_bins entry must be >= 1."""
     cfg = dict(defaults)
     for key, val in (overrides or {}).items():
         if key not in defaults:
             raise ValueError(f"unknown key '{name}.{key}'")
+        if not _fits(val, defaults[key]):
+            raise ValueError(f"{name}.{key} must be of the kind of its default "
+                             f"{defaults[key]!r}, got {val!r}")
         cfg[key] = val
+    if min(cfg["grid_bins"]) < 1:
+        raise ValueError(f"{name}.grid_bins must be >= 1, got {cfg['grid_bins']!r}")
     return cfg
 
 
@@ -109,7 +129,7 @@ class Environment:
     def observe(self, state) -> np.ndarray:
         return np.asarray(state, dtype=float)
 
-    def true_cost(self, state, action=None) -> np.ndarray:
+    def true_cost(self, state) -> np.ndarray:
         raise NotImplementedError
 
     def sample_task(self, rng: np.random.Generator, mode: str = "il") -> TaskSpec:

@@ -73,8 +73,7 @@ class BasicNav(Environment):
             d_prev, d_new = math.sqrt(v_prev.dot(v_prev)), math.sqrt(v_new.dot(v_new))
             reward = self.cfg["progress_reward"] * (d_prev - d_new)
             done = d_new < self.cfg["goal_radius"]
-        return StepResult(pos, reward, self.true_cost(pos), done,
-                          {"goal": done})
+        return StepResult(pos, reward, self.true_cost(pos), done)
 
     def step_batch(self, states: np.ndarray, actions: np.ndarray,
                    goals: np.ndarray) -> tuple:
@@ -96,7 +95,7 @@ class BasicNav(Environment):
                 for x, y in pos.tolist()]
         return pos, reward, np.array(cost), d_new < c["goal_radius"]
 
-    def true_cost(self, state, action=None) -> np.ndarray:
+    def true_cost(self, state) -> np.ndarray:
         d = math.hypot(float(state[0]) - self._hazard[0],
                        float(state[1]) - self._hazard[1])
         return np.array([1.0 if d < self.cfg["hazard_radius"] else 0.0])

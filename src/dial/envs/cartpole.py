@@ -75,9 +75,9 @@ class CartPole(Environment):
         thd += dt * th_acc
         nxt = np.array([x, xd, th, thd])
         reward = 1.0 + math.cos(th)
-        return StepResult(nxt, reward, self.true_cost(nxt), False, {})
+        return StepResult(nxt, reward, self.true_cost(nxt), False)
 
-    def true_cost(self, state, action=None) -> np.ndarray:
+    def true_cost(self, state) -> np.ndarray:
         over = abs(float(state[0])) > self.cfg["cart_limit"]
         return np.array([1.0 if over else 0.0])
 

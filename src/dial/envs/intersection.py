@@ -395,8 +395,7 @@ class IntersectionLite(Environment):
         reward = xi["xi_speed"] * v + xi["xi_angle"] * abs(e_head)
         if goal:
             reward += cfg["goal_reward"]
-        return StepResult(nxt, float(reward), feats, goal,
-                          {"goal": goal, "crashed": crashed})
+        return StepResult(nxt, float(reward), feats, goal)
 
     def _features(self, state: IntersectionState,
                   others: np.ndarray) -> np.ndarray:
@@ -416,7 +415,7 @@ class IntersectionLite(Environment):
             1.0 if abs(lat) > cfg["offroad_lat"] else 0.0,
         ])
 
-    def true_cost(self, state: IntersectionState, action=None) -> np.ndarray:
+    def true_cost(self, state: IntersectionState) -> np.ndarray:
         return self._features(state, self._others_xy(state.stations))
 
     def observe(self, state: IntersectionState) -> np.ndarray:

@@ -72,8 +72,7 @@ class MountainCar(Environment):
         if goal:
             reward += self.cfg["goal_reward"]
         nxt = np.array([x, v])
-        return StepResult(nxt, reward, self.true_cost(nxt), goal,
-                          {"goal": goal})
+        return StepResult(nxt, reward, self.true_cost(nxt), goal)
 
     def step_batch(self, states: np.ndarray, actions: np.ndarray,
                    goals=None) -> tuple:
@@ -96,7 +95,7 @@ class MountainCar(Environment):
         cost = (x < c["red_line"]).astype(float)[:, None]
         return np.stack([x, v], axis=1), reward, cost, goal
 
-    def true_cost(self, state, action=None) -> np.ndarray:
+    def true_cost(self, state) -> np.ndarray:
         return np.array([1.0 if float(state[0]) < self.cfg["red_line"] else 0.0])
 
     def sample_task(self, rng: np.random.Generator, mode: str = "il") -> TaskSpec:

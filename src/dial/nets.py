@@ -107,12 +107,11 @@ class Mlp:
 class AdamState:
     """Adam moments for one parameter list; step() applies a descent update."""
 
-    def __init__(self, params: list, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    # moment decay rates and the denominator's guard
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -140,14 +139,15 @@ class GaussianHead:
     of the unclipped Gaussian at the unclipped sample.
     """
 
-    def __init__(self, low, high, std_floor: float = 1e-4):
+    std_floor = 1e-4
+
+    def __init__(self, low, high):
         self.low = np.asarray(low, dtype=float)
         self.high = np.asarray(high, dtype=float)
         if (self.high <= self.low).any():
             raise ValueError("need high > low per action dimension")
         self.center = 0.5 * (self.low + self.high)
         self.half = 0.5 * (self.high - self.low)
-        self.std_floor = std_floor
         self.dim = self.low.shape[0]
 
     def split(self, raw: np.ndarray):
@@ -201,8 +201,7 @@ class GaussianHead:
 class BetaHead:
     """Maps a pair of raw outputs to Beta shape parameters via softplus + floor."""
 
-    def __init__(self, floor: float = 1e-3):
-        self.floor = floor
+    floor = 1e-3
 
     def alphas(self, raw: np.ndarray) -> np.ndarray:
         return softplus(raw) + self.floor

@@ -18,6 +18,8 @@ from .entropy import ImportanceWeightSet, KnnGraph, ParticleSet
 from .nets import AdamState, GaussianHead, Mlp, load_checkpoint, load_mlp, mlp_tensors, save_checkpoint
 
 LOG_RATIO_CLIP = 50.0
+# cap on safe_il_policy_step's gated inner steps
+MAX_INNER = 20
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +148,7 @@ class PpoState:
 
 def ppo_lagrange_update(policy: GaussianPolicy, rollouts: list, risk_bars,
                         ls: LagrangeState, ppo: PpoState,
-                        rng: np.random.Generator,
-                        old_logps: list | None = None) -> dict:
+                        rng: np.random.Generator) -> dict:
     """One epoch of clipped-surrogate minibatch ascent on reward minus risk.
 
     Each trajectory's expected risk is spread uniformly over its steps as a
@@ -163,10 +164,7 @@ def ppo_lagrange_update(policy: GaussianPolicy, rollouts: list, risk_bars,
 
     obs = np.concatenate([t.states for t in rollouts])
     a_raw = np.concatenate([t.actions for t in rollouts])
-    if old_logps is None:
-        lp_old = policy.log_prob(obs, a_raw)
-    else:
-        lp_old = np.concatenate(old_logps)
+    lp_old = policy.log_prob(obs, a_raw)
 
     vr = ppo.v_reward.forward(obs)[:, 0]
     vc = ppo.v_cost.forward(obs)[:, 0]
@@ -255,9 +253,8 @@ class TrustRegionConfig:
 
 def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
                         tr: TrustRegionConfig, ls: LagrangeState,
-                        rng: np.random.Generator, lr: float = 1e-3,
-                        opt: AdamState | None = None,
-                        max_particles: int = 2048, max_inner: int = 20) -> dict:
+                        rng: np.random.Generator, *, opt: AdamState,
+                        max_particles: int) -> dict:
     """Entropy-ascent inner loop gated by the divergence estimate.
 
     Particles are rollout states under the old policy; reweighting them by
@@ -265,8 +262,8 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
     distribution without fresh rollouts. Steps ascend
     beta * H_k + reward surrogate - kappa_tilde * risk surrogate
     and stop at the first divergence estimate above delta (the first step
-    always runs) or after max_inner steps. risk_bars holds each rollout's
-    expected risk under the constraint model.
+    always runs) or after MAX_INNER opt steps. risk_bars holds each
+    rollout's expected risk under the constraint model.
     """
     if not rollouts:
         raise ValueError("need at least one rollout")
@@ -297,7 +294,7 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
     dkls = []
     entropies = []
     steps = 0
-    for inner in range(max_inner):
+    for inner in range(MAX_INNER):
         raw = policy.net.forward(obs)
         lp_new = policy.head.log_prob(raw, a_raw)
         delta_m = np.zeros(n_traj)
@@ -339,11 +336,7 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
         if not all(np.all(np.isfinite(g_)) for g_ in grads):
             return {"nan_aborted": True, "inner_steps": steps, "dkls": dkls,
                     "entropies": entropies, "kappa_tilde": kappa_tilde}
-        if opt is not None:
-            opt.step(policy.params(), [-g_ for g_ in grads])
-        else:
-            for p, g_ in zip(policy.params(), grads):
-                p += lr * g_
+        opt.step(policy.params(), [-g_ for g_ in grads])
         steps += 1
 
     return {"nan_aborted": False, "inner_steps": steps, "dkls": dkls,

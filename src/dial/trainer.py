@@ -263,14 +263,15 @@ class Metrics:
 
     rr/cr are episode sums averaged over episodes (cr per cost feature),
     cv the fraction of episodes whose per-step rate breaks any budget, se
-    the entropy of the pooled visitation histogram.
+    the entropy of the pooled visitation histogram, goal_rate the fraction
+    that reached their goal.
     """
 
     rr: float
     cr: np.ndarray
     cv: float
     se: float
-    goal_rate: float | None = None
+    goal_rate: float
     feasible_reward: float | None = None
 
     def __post_init__(self):
@@ -286,9 +287,8 @@ class Metrics:
 
     def to_dict(self) -> dict:
         out = {"rr": self.rr, "cr": [float(v) for v in self.cr],
-               "cr_total": self.cr_total, "cv": self.cv, "se": self.se}
-        if self.goal_rate is not None:
-            out["goal_rate"] = self.goal_rate
+               "cr_total": self.cr_total, "cv": self.cv, "se": self.se,
+               "goal_rate": self.goal_rate}
         if self.feasible_reward is not None:
             out["feasible_reward"] = self.feasible_reward
         return out
@@ -484,8 +484,40 @@ def load_policy(path):
     raise ValueError(f"{path}: unknown checkpoint kind '{kind}'")
 
 
+def _fit(path, env, what: str, have, want) -> None:
+    if have != want:
+        raise ConfigError(f"{path}: {what} {have} do not match env '{env.name}' {want}")
+
+
+def check_policy(policy, env, path) -> None:
+    """Raise ConfigError unless policy is the kind env's recipe runs and
+    fits env: (obs, action) dims of a Gaussian policy, gains of a controller."""
+    driving = RECIPES[env.name].driving
+    _fit(path, env, "policy", type(policy).__name__,
+         "ControllerPolicy" if driving else "GaussianPolicy")
+    if driving:
+        _fit(path, env, "gains", policy.gains.size, env.action_dim)
+    else:
+        _fit(path, env, "(obs, action) dims", (policy.obs_dim, policy.head.dim),
+             (env.state_dim, env.action_dim))
+
+
+def check_constraint(model: ConstraintModel, env, path) -> None:
+    """Raise ConfigError unless model is the mode env's recipe learns and
+    fits env: (state, action) dims of a per-step model, cost features of a
+    threshold model."""
+    driving = RECIPES[env.name].driving
+    _fit(path, env, "mode", model.mode, THRESHOLD if driving else PER_STEP_BETA)
+    if driving:
+        _fit(path, env, "cost features", model.n_features, env.cost_dim)
+    else:
+        _fit(path, env, "(state, action) dims", (model.state_dim, model.action_dim),
+             (env.state_dim, env.action_dim))
+
+
 def run_episode(env, policy, task, rng) -> tuple:
-    """Roll one episode.
+    """Roll one episode; returns its Trajectory and whether it reached its
+    goal, which is whether the env ended it before the horizon ran out.
 
     The env steps on the action act returns and the trajectory records the
     same action; for a Gaussian policy that is the unclipped sample, which
@@ -493,7 +525,6 @@ def run_episode(env, policy, task, rng) -> tuple:
     """
     s = env.reset(task, rng)
     states, actions, rewards, costs = [], [], [], []
-    goal = False
     for _ in range(env.horizon):
         obs = env.observe(s)
         a = policy.act(obs, rng)
@@ -504,25 +535,25 @@ def run_episode(env, policy, task, rng) -> tuple:
         costs.append(res.cost_features)
         s = res.next_state
         if res.done:
-            goal = bool(res.info.get("goal", True))
             break
     tau = Trajectory(np.array(states), np.array(actions),
                      np.array(rewards), np.array(costs), task=task)
-    return tau, {"goal": goal}
+    return tau, bool(res.done)
 
 
 def collect_rollouts(env, policy, n: int, rng, mode: str = "il",
                      budget_left: int | None = None):
-    """Up to n episodes, stopping early once budget_left steps are recorded."""
-    trajs, infos, steps = [], [], 0
+    """Up to n episodes, stopping early once budget_left steps are recorded;
+    returns the trajectories, their goal flags and the step count."""
+    trajs, goals, steps = [], [], 0
     for _ in range(n):
-        tau, info = run_episode(env, policy, env.sample_task(rng, mode), rng)
+        tau, goal = run_episode(env, policy, env.sample_task(rng, mode), rng)
         trajs.append(tau)
-        infos.append(info)
+        goals.append(goal)
         steps += len(tau)
         if budget_left is not None and steps >= budget_left:
             break
-    return trajs, infos, steps
+    return trajs, goals, steps
 
 
 def _episode_violates(env, tau: Trajectory) -> bool:
@@ -531,24 +562,21 @@ def _episode_violates(env, tau: Trajectory) -> bool:
     return bool(np.any(rates > eps))
 
 
-def rollout_metrics(env, rollouts: list, infos: list | None = None) -> Metrics:
-    """Episode statistics of one batch; see Metrics for definitions."""
+def rollout_metrics(env, rollouts: list, goals: list) -> Metrics:
+    """Episode statistics of one batch, goals holding each rollout's goal
+    flag; see Metrics for definitions."""
     if not rollouts:
         raise ValueError("need at least one rollout")
     rr = float(np.mean([t.extrinsic_rewards.sum() for t in rollouts]))
     cr = np.mean([t.cost_features.sum(axis=0) for t in rollouts], axis=0)
-    cv = float(np.mean([_episode_violates(env, t) for t in rollouts]))
+    violates = [_episode_violates(env, t) for t in rollouts]
     grid = env.grid()
     for t in rollouts:
         grid.add(env.project(t.states))
-    goal_rate = None
-    if infos is not None:
-        goal_rate = float(np.mean([bool(i.get("goal")) for i in infos]))
-    ok = [t.extrinsic_rewards.sum() for t in rollouts
-          if not _episode_violates(env, t)]
-    feasible = float(np.mean(ok)) if ok else None
-    return Metrics(rr=rr, cr=cr, cv=cv, se=grid.entropy(),
-                   goal_rate=goal_rate, feasible_reward=feasible)
+    ok = [t.extrinsic_rewards.sum() for t, bad in zip(rollouts, violates) if not bad]
+    return Metrics(rr=rr, cr=cr, cv=float(np.mean(violates)), se=grid.entropy(),
+                   goal_rate=float(np.mean(goals)),
+                   feasible_reward=float(np.mean(ok)) if ok else None)
 
 
 def run_episodes(env, starts, act, goals=None) -> tuple:
@@ -583,7 +611,7 @@ def run_episodes(env, starts, act, goals=None) -> tuple:
 
 
 def run_tasks(env, jobs, policy_for) -> list:
-    """One episode per job (task, rng, row_rng), as (Trajectory, info) pairs.
+    """One episode per job (task, rng, row_rng), as (Trajectory, goal) pairs.
 
     policy_for(goal) is the policy that acts toward a task's goal, which may
     be None, and must give every goal the same kind of policy; given one
@@ -612,7 +640,7 @@ def run_tasks(env, jobs, policy_for) -> list:
     *recs, lens, goal = run_episodes(
         env, starts, lambda obs: policy.act_rows(obs, rngs), goals)
     return results + [
-        (Trajectory(*(r[:n, i] for r in recs), task=task), {"goal": bool(g)})
+        (Trajectory(*(r[:n, i] for r in recs), task=task), bool(g))
         for i, (n, g, task) in enumerate(zip(lens, goal, tasks))]
 
 
@@ -628,16 +656,15 @@ def evaluate(cfg: TrainConfig, policy) -> tuple:
     jobs = [(int(s), ep) for s in seeds for ep in range(cfg.eval_episodes)]
     env = make_env(cfg.env, cfg.env_config)
     rngs = [np.random.default_rng(np.random.SeedSequence(job)) for job in jobs]
-    results = run_tasks(
+    trajs, goals = zip(*run_tasks(
         env, ((env.sample_task(rng, task_mode), rng, rng) for rng in rngs),
-        lambda goal: policy)
-    metrics = rollout_metrics(env, [tau for tau, _ in results],
-                              [info for _, info in results])
+        lambda goal: policy))
+    metrics = rollout_metrics(env, trajs, goals)
     detail = [{"seed": s, "episode": ep,
                "rr": float(tau.extrinsic_rewards.sum()),
                "cr": [float(v) for v in tau.cost_features.sum(axis=0)],
-               "len": len(tau), "goal": bool(info.get("goal"))}
-              for (s, ep), (tau, info) in zip(jobs, results)]
+               "len": len(tau), "goal": goal}
+              for (s, ep), tau, goal in zip(jobs, trajs, goals)]
     return metrics, detail
 
 
@@ -646,10 +673,10 @@ def _lagrange(env, cfg: TrainConfig) -> LagrangeState:
                          eta_kappa=cfg.lr_kappa, kappa_d=cfg.kappa_d)
 
 
-def _record(records: list, env, rollouts, infos, steps: int,
+def _record(records: list, env, rollouts, goals, steps: int,
             ls: LagrangeState, expected: float, extra: dict) -> None:
     """Append one iteration's metrics-log entry."""
-    m = rollout_metrics(env, rollouts, infos)
+    m = rollout_metrics(env, rollouts, goals)
     records.append({"iteration": len(records), "env_steps": steps,
                     "rr": m.rr, "cr": [float(v) for v in m.cr],
                     "cv": m.cv, "se": m.se, "kappa": ls.kappa,
@@ -833,8 +860,8 @@ def generate_experts(cfg: TrainConfig, out_dir) -> dict:
     policy_for = RECIPES[cfg.env].experts(env, cfg, rng, mode)
     jobs = ((env.sample_task(rng, mode), rng, child)
             for child in rng.spawn(cfg.n_experts))
-    trajs, infos = map(list, zip(*run_tasks(env, jobs, policy_for)))
-    metrics = rollout_metrics(env, trajs, infos)
+    trajs, goals = zip(*run_tasks(env, jobs, policy_for))
+    metrics = rollout_metrics(env, trajs, goals)
     cv_limit = env.eps_scalar * cfg.safety_margin
     if metrics.cv > cv_limit:
         raise ExpertInfeasibleError(
@@ -907,7 +934,7 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
     records = []
     steps_total = 0
     while steps_total < cfg.env_steps:
-        rollouts, infos, got = collect_rollouts(
+        rollouts, goals, got = collect_rollouts(
             env, policy, cfg.n_rollouts, rng, "il",
             budget_left=cfg.env_steps - steps_total)
         steps_total += got
@@ -921,10 +948,10 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
             ei = _draw_batch(len(experts), cfg.batch_expert, rng)
             ni = _draw_batch(len(rollouts), cfg.batch_nominal, rng)
             upd = constraint_update(model, [experts[i] for i in ei],
-                                    [rollouts[i] for i in ni],
-                                    lam_c, lr_C=cfg.lr_constraint,
-                                    lr_P=cfg.lr_prior, prior=prior,
-                                    prev_gamma=prev_gamma[ni], opt=opt_c)
+                                    [rollouts[i] for i in ni], lam_c,
+                                    kl_weight=cfg.lr_prior / cfg.lr_constraint,
+                                    prior=prior, prev_gamma=prev_gamma[ni],
+                                    opt=opt_c)
             aborts += upd["nan_aborted"]
 
         lam_pol = _policy_lambda(cfg, rng)
@@ -940,12 +967,12 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
                        cfg.cem_elite, cfg.controller_std_floor, rng)
         else:
             diag = safe_il_policy_step(policy, rollouts, risk_bars, tr, ls,
-                                       rng, lr=cfg.lr_reward, opt=opt_p,
+                                       rng, opt=opt_p,
                                        max_particles=cfg.max_particles)
             if diag["dkls"]:
                 dkl = float(diag["dkls"][-1])
             policy_aborted = int(diag["nan_aborted"])
-        _record(records, env, rollouts, infos, steps_total, ls, expected,
+        _record(records, env, rollouts, goals, steps_total, ls, expected,
                 {"dkl": dkl, "lambda": lam_pol.lam,
                  "constraint_aborts": aborts, "policy_aborted": policy_aborted})
 
@@ -1006,23 +1033,17 @@ def safe_tl(cfg: TrainConfig, constraint_path, policy_path, out_dir) -> dict:
     env = make_env(cfg.env, cfg.env_config)
     rng = np.random.default_rng(cfg.seed)
     model = ConstraintModel.load(constraint_path)
-    driving = RECIPES[cfg.env].driving
-    want = THRESHOLD if driving else PER_STEP_BETA
-    if model.mode != want:
-        raise ConfigError(f"{constraint_path}: {model.mode} constraint given, "
-                          f"but '{cfg.env}' transfers against {want}")
-    if model.mode == PER_STEP_BETA and (model.state_dim != env.state_dim
-                                        or model.action_dim != env.action_dim):
-        raise ConfigError(
-            f"{constraint_path}: constraint dims "
-            f"({model.state_dim}, {model.action_dim}) do not match env "
-            f"({env.state_dim}, {env.action_dim})")
+    check_constraint(model, env, constraint_path)
+    policy = None
+    if policy_path is not None:
+        policy = load_policy(policy_path)
+        check_policy(policy, env, policy_path)
     frozen = [p.copy() for p in model.params()]
     lam = RiskLevel(cfg.lam)
     mode = task_mode_for(cfg.env, "safe-tl")
 
-    transfer = _safe_tl_driving if driving else _safe_tl_control
-    result = transfer(cfg, env, model, policy_path, lam, mode, rng, out_dir)
+    transfer = _safe_tl_driving if RECIPES[cfg.env].driving else _safe_tl_control
+    result = transfer(cfg, env, model, policy, lam, mode, rng, out_dir)
 
     for p, q in zip(model.params(), frozen):
         if not np.array_equal(p, q):
@@ -1030,13 +1051,8 @@ def safe_tl(cfg: TrainConfig, constraint_path, policy_path, out_dir) -> dict:
     return result
 
 
-def _safe_tl_control(cfg, env, model, policy_path, lam, mode, rng, out_dir):
-    if policy_path is not None:
-        policy = GaussianPolicy.load(policy_path)
-        if policy.obs_dim != env.state_dim:
-            raise ConfigError(f"{policy_path}: policy obs dim "
-                              f"{policy.obs_dim} does not match env")
-    else:
+def _safe_tl_control(cfg, env, model, policy, lam, mode, rng, out_dir):
+    if policy is None:
         policy = GaussianPolicy(env.state_dim, env.action_low,
                                 env.action_high, cfg.hidden_policy, rng)
     ppo = PpoState(policy, rng, lr=cfg.lr_reward, entropy_beta=cfg.beta)
@@ -1044,7 +1060,7 @@ def _safe_tl_control(cfg, env, model, policy_path, lam, mode, rng, out_dir):
     records = []
     steps_total = 0
     while steps_total < cfg.env_steps:
-        rollouts, infos, got = collect_rollouts(
+        rollouts, goals, got = collect_rollouts(
             env, policy, cfg.n_rollouts, rng, mode,
             budget_left=cfg.env_steps - steps_total)
         steps_total += got
@@ -1056,17 +1072,16 @@ def _safe_tl_control(cfg, env, model, policy_path, lam, mode, rng, out_dir):
             diag = ppo_lagrange_update(policy, guarded, risk_bars, ls, ppo, rng)
         if COST_AUDIT.touched:
             raise RuntimeError("true cost was read inside a transfer update")
-        _record(records, env, rollouts, infos, steps_total, ls, expected,
+        _record(records, env, rollouts, goals, steps_total, ls, expected,
                 {"dkl": 0.0, "lambda": lam.lam,
                  "policy_aborted": int(diag["nan_aborted"])})
     return _save_run(out_dir, records, policy)
 
 
-def _safe_tl_driving(cfg, env, model, policy_path, lam, mode, rng, out_dir):
+def _safe_tl_driving(cfg, env, model, policy, lam, mode, rng, out_dir):
     """Constrained cross-entropy rounds on the target route; candidate
     episodes are the interaction, so they count toward the budget."""
-    if policy_path is not None:
-        policy = ControllerPolicy.load(policy_path)
+    if policy is not None:
         policy.std = np.maximum(policy.std, cfg.controller_std_floor)
     else:
         policy = ControllerPolicy(np.zeros(env.action_dim),
@@ -1080,13 +1095,13 @@ def _safe_tl_driving(cfg, env, model, policy_path, lam, mode, rng, out_dir):
                                              count_steps=counter)
         _cem_round(policy, evaluate_candidates, cfg.cem_samp, cfg.cem_elite,
                    cfg.controller_std_floor, rng)
-        rollouts, infos, got = collect_rollouts(env, policy, cfg.n_rollouts,
+        rollouts, goals, got = collect_rollouts(env, policy, cfg.n_rollouts,
                                                 rng, mode)
         counter[0] += got
         risk_bars = 1.0 - gamma_criterion(model, rollouts, lam)
         expected = float(risk_bars.mean())
         ls = update_safety_weight(ls, expected)
-        _record(records, env, rollouts, infos, counter[0], ls, expected,
+        _record(records, env, rollouts, goals, counter[0], ls, expected,
                 {"dkl": 0.0, "lambda": lam.lam, "policy_aborted": 0})
     return _save_run(out_dir, records, policy)
 
@@ -1099,13 +1114,13 @@ def sweep_lambda(cfg: TrainConfig, constraint_path, policy_path, out_dir,
     """Short transfer run per risk level; reports the feasible frontier."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    limit = getattr(make_env(cfg.env, cfg.env_config), "cost_limit", None)
     rows = []
     for lam in lambdas:
         sub = replace(cfg, lam=float(lam))
         run_dir = out_dir / f"lam_{lam:.1f}"
         res = safe_tl(sub, constraint_path, policy_path, run_dir)
         metrics, _ = evaluate(sub, load_policy(res["policy"]))
-        limit = getattr(make_env(cfg.env, cfg.env_config), "cost_limit", None)
         feasible = (metrics.cr_total <= limit) if limit is not None else None
         rows.append({"lambda": float(lam), "rr": metrics.rr,
                      "cr": [float(v) for v in metrics.cr],

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from dial.cli import main
+from dial.constraint import ConstraintModel
 from dial.dataio import RunManifest, read_grid_csv, read_metrics
+from dial.policyopt import GaussianPolicy
 from dial.trainer import ControllerPolicy
 
 CFG = {"env": "basic_nav", "seed": 3, "env_steps": 150, "n_experts": 3,
@@ -116,6 +118,13 @@ class TestConfigErrors:
         ("train-il", "lr_constraint", "a"),
         ("train-il", "env_steps", "a"),
         ("train-il", "n_rollouts", 2.5),
+        ("gen-experts", "env_config", {"grid_bins": [0, 5]}),
+        ("gen-experts", "env_config", {"goal_radius": "a"}),
+        ("gen-experts", "env_config", {"train_goals": []}),
+        ("gen-experts", "env_config", {"train_goals": [[1.0]]}),
+        ("gen-experts", "env_config", {"hazard_center": [5.0]}),
+        ("gen-experts", "env_config", {"horizon": "5"}),
+        ("gen-experts", "env_config", {"horizon": True}),
     ])
     def test_malformed_value(self, tmp_path, capsys, cmd, key, value):
         p = tmp_path / "cfg.json"
@@ -127,7 +136,7 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         if key == "env_config":
-            assert "bogus" in err
+            assert all(name in err for name in value)
 
     def test_negative_seed_flag(self, tmp_path, capsys):
         assert main(["gen-experts", "--env", "basic_nav", "--seed", "-1",
@@ -159,6 +168,66 @@ class TestRuntimeErrors:
         assert main(["eval", "--config", str(chain["cfg"]),
                      "--policy", str(chain["constraint"]),
                      "--out-dir", str(tmp_path)]) == 3
+
+
+class TestCheckpointFit:
+    """Every command that takes a checkpoint checks it against the env
+    before it runs, and names both shapes when they differ."""
+
+    @staticmethod
+    def _gaussian(path, obs_dim, action_dim):
+        GaussianPolicy(obs_dim, -np.ones(action_dim), np.ones(action_dim), 8,
+                       np.random.default_rng(0)).save(path)
+        return path
+
+    @pytest.mark.parametrize("cmd", ["eval", "export-visitation-map",
+                                     "train-tl", "sweep-lambda"])
+    @pytest.mark.parametrize("env,dims,want", [
+        ("basic_nav", (4, 1), "(2, 2)"),       # a cartpole policy
+        ("mountain_car", (2, 2), "(2, 1)"),    # a basic_nav policy
+    ])
+    def test_policy_dims(self, tmp_path, chain, capsys, cmd, env, dims, want):
+        policy = self._gaussian(tmp_path / "p.ckpt", *dims)
+        constraint = tmp_path / "c.ckpt"
+        ConstraintModel(2, dict(basic_nav=2, mountain_car=1)[env], hidden=8).save(
+            constraint)
+        extra = ["--constraint", str(constraint)] if cmd in ("train-tl",
+                                                            "sweep-lambda") else []
+        out = tmp_path / "out"
+        assert main([cmd, "--config", str(chain["cfg"]), "--env", env,
+                     "--policy", str(policy), *extra, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "do not match" in err and str(dims) in err and want in err
+        assert "Traceback" not in err
+        assert not (out / "run_manifest.json").exists()
+
+    def test_controller_gains(self, tmp_path, capsys):
+        policy = tmp_path / "ctrl.ckpt"
+        ControllerPolicy(np.zeros(3)).save(policy)
+        assert main(["eval", "--env", "intersection", "--policy", str(policy),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "gains 3 do not match" in err and "5" in err
+
+    def test_policy_kind(self, tmp_path, chain, capsys):
+        policy = tmp_path / "ctrl.ckpt"
+        ControllerPolicy(np.zeros(2)).save(policy)
+        assert main(["eval", "--config", str(chain["cfg"]), "--policy", str(policy),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "GaussianPolicy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["export-constraint-map", "train-tl",
+                                     "sweep-lambda"])
+    def test_constraint_dims(self, tmp_path, chain, capsys, cmd):
+        constraint = tmp_path / "mc.ckpt"
+        ConstraintModel(2, 1, hidden=8).save(constraint)
+        out = tmp_path / "out"
+        assert main([cmd, "--config", str(chain["cfg"]), "--constraint",
+                     str(constraint), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "do not match" in err and "(2, 1)" in err and "(2, 2)" in err
+        assert "Traceback" not in err
+        assert not (out / "run_manifest.json").exists()
 
 
 class TestEvalCommand:

@@ -25,6 +25,10 @@ from dial.constraint import (
 )
 from dial.nets import load_checkpoint, save_checkpoint
 
+from conftest import Sgd
+
+PRIOR = BetaParams(0.1, 0.9)
+
 
 def make_model(hidden=16, seed=0, **kw):
     return ConstraintModel(3, 2, hidden=hidden,
@@ -221,6 +225,14 @@ def set_flat(model, vec):
         at += p.size
 
 
+def update(model, expert, nominal, lam, lr=1e-2, kl_weight=1.0):
+    """constraint_update by Sgd at lr toward PRIOR with every omega 1: the
+    nominal batch's prev_gamma is its criterion under the current model."""
+    return constraint_update(model, expert, nominal, lam, kl_weight=kl_weight,
+                             prior=PRIOR, opt=Sgd(lr),
+                             prev_gamma=gamma_criterion(model, nominal, RiskLevel(1.0)))
+
+
 def full_loss(model, expert, nominal, lam, ratio, prior):
     # independent reassembly of the objective the update ascends
     le = np.mean([math.log(max(gamma_criterion(model, [t], lam)[0], 1e-300))
@@ -238,7 +250,6 @@ def test_update_gradient_matches_full_loss_fd():
     rng = np.random.default_rng(34)
     model = make_model(hidden=6, seed=6)
     lam = RiskLevel(0.7)
-    prior = BetaParams(0.1, 0.9)
     expert = [random_traj(rng, length=1) for _ in range(2)]
     nominal = [random_traj(rng, length=1) for _ in range(2)]
     # seeds chosen so no relu pre-activation sits near its kink, where a
@@ -250,7 +261,7 @@ def test_update_gradient_matches_full_loss_fd():
     assert min(np.abs(z1).min(), np.abs(z2).min()) > 1e-2
     lr = 1e-4
     before = flat_params(model).copy()
-    constraint_update(model, expert, nominal, lam, lr_C=lr, lr_P=lr, prior=prior)
+    update(model, expert, nominal, lam, lr=lr)
     g_impl = (flat_params(model) - before) / lr
 
     probe = make_model(hidden=6, seed=2)
@@ -261,9 +272,9 @@ def test_update_gradient_matches_full_loss_fd():
         up[i] += h
         dn[i] -= h
         set_flat(probe, up)
-        lu = full_loss(probe, expert, nominal, lam, 1.0, prior)
+        lu = full_loss(probe, expert, nominal, lam, 1.0, PRIOR)
         set_flat(probe, dn)
-        ld = full_loss(probe, expert, nominal, lam, 1.0, prior)
+        ld = full_loss(probe, expert, nominal, lam, 1.0, PRIOR)
         g_fd[i] = (lu - ld) / (2 * h)
     scale = max(np.abs(g_fd).max(), 1e-12)
     assert np.abs(g_impl - g_fd).max() / scale < 1e-2
@@ -298,9 +309,8 @@ def test_update_identical_batches_reduces_to_prior_term():
     model = make_model(hidden=8, seed=4)
     batch = [random_traj(rng, length=3) for _ in range(3)]
     before = flat_params(model).copy()
-    # lr_P = 0 isolates the expert-vs-nominal part, which cancels exactly
-    out = constraint_update(model, batch, batch, RiskLevel(0.5),
-                            lr_C=1e-2, lr_P=0.0)
+    # kl_weight = 0 isolates the expert-vs-nominal part, which cancels exactly
+    out = update(model, batch, batch, RiskLevel(0.5), kl_weight=0.0)
     assert out["grad_norm"] < 1e-10
     assert np.abs(flat_params(model) - before).max() < 1e-12
     assert out["omegas"] == [1.0, 1.0, 1.0]
@@ -312,8 +322,7 @@ def test_update_kl_term_descends_toward_prior():
     batch = [random_traj(rng, length=4) for _ in range(2)]
     kls = []
     for _ in range(100):
-        out = constraint_update(model, batch, batch, RiskLevel(0.5),
-                                lr_C=1e-2, lr_P=1e-2)
+        out = update(model, batch, batch, RiskLevel(0.5))
         kls.append(out["kl"])
     assert all(b < a for a, b in zip(kls, kls[1:]))
     assert kls[-1] < 0.6 * kls[0]
@@ -341,8 +350,8 @@ def test_update_separates_expert_from_nominal():
     g0 = gap()
     prev_gamma = gamma_criterion(model, nominal, RiskLevel(1.0))
     for _ in range(60):
-        constraint_update(model, expert, nominal, RiskLevel(0.5),
-                          prev_gamma=prev_gamma)
+        constraint_update(model, expert, nominal, RiskLevel(0.5), kl_weight=1.0,
+                          prior=PRIOR, prev_gamma=prev_gamma, opt=Sgd(1e-2))
     assert gap() > g0 + 0.2
 
 
@@ -362,11 +371,11 @@ def test_update_threshold_mode_directions():
     # only the nominal batch violates: thresholds tighten
     model = ConstraintModel(3, 2, mode="threshold-inference", n_features=4)
     t0 = model.thresholds.copy()
-    constraint_update(model, batch(0.1), batch(0.9), RiskLevel(0.5))
+    update(model, batch(0.1), batch(0.9), RiskLevel(0.5))
     assert np.all(model.thresholds < t0)
     # only the expert batch sits above: thresholds relax
     model = ConstraintModel(3, 2, mode="threshold-inference", n_features=4)
-    constraint_update(model, batch(0.9), batch(0.1), RiskLevel(0.5))
+    update(model, batch(0.9), batch(0.1), RiskLevel(0.5))
     assert np.all(model.thresholds > t0)
 
 
@@ -376,7 +385,8 @@ def test_update_nan_aborts_without_touching_params():
     model.net.biases[0][0] = np.nan
     batch = [random_traj(rng, length=2)]
     snapshot = [p.copy() for p in model.params()]
-    out = constraint_update(model, batch, batch, RiskLevel(0.5))
+    out = constraint_update(model, batch, batch, RiskLevel(0.5), kl_weight=1.0,
+                            prior=PRIOR, prev_gamma=np.ones(1), opt=Sgd(1e-2))
     assert out["nan_aborted"]
     for p, s in zip(model.params(), snapshot):
         assert np.array_equal(p, s, equal_nan=True)
@@ -386,7 +396,7 @@ def test_update_rejects_empty_batches():
     model = make_model()
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        constraint_update(model, [], [random_traj(rng)], RiskLevel(0.5))
+        update(model, [], [random_traj(rng)], RiskLevel(0.5))
 
 
 # ------------------------------------------------------- values, persistence

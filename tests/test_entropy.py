@@ -25,6 +25,10 @@ from dial.entropy import (
 EULER = 0.5772156649015328606
 
 
+def uniform_weights(m):
+    return ImportanceWeightSet(np.full(m, 1.0 / m))
+
+
 def oracle_neighbors(x, i, k):
     """k nearest neighbors of x[i] by (distance, index) order."""
     pairs = sorted(
@@ -220,7 +224,7 @@ class TestIwEntropy:
             x = rng.normal(size=(m, dim))
             plain = KnnGraph(ParticleSet(x), 4 if m > 4 else 2).entropy()
             k = 4 if m > 4 else 2
-            iw = KnnGraph(ParticleSet(x), k).iw_entropy(ImportanceWeightSet.uniform(m))
+            iw = KnnGraph(ParticleSet(x), k).iw_entropy(uniform_weights(m))
             assert abs(plain - iw) < 1e-12
 
     def test_matches_oracle_random_weights(self):
@@ -243,7 +247,7 @@ class TestIwEntropy:
         i, j = np.unravel_index(np.argmax(d), d.shape)
         w = np.full(m, 1e-4)
         w[i] = w[j] = (1.0 - (m - 2) * 1e-4) / 2.0
-        uni = KnnGraph(ParticleSet(x), 4).iw_entropy(ImportanceWeightSet.uniform(m))
+        uni = KnnGraph(ParticleSet(x), 4).iw_entropy(uniform_weights(m))
         conc = KnnGraph(ParticleSet(x), 4).iw_entropy(ImportanceWeightSet(w))
         assert conc < uni
 
@@ -254,7 +258,7 @@ class TestIwEntropy:
             ImportanceWeightSet(np.array([-0.1, 1.1]))
         ps = ParticleSet(np.random.default_rng(0).normal(size=(10, 2)))
         with pytest.raises(ValueError):
-            KnnGraph(ps, 2).iw_entropy(ImportanceWeightSet.uniform(9))
+            KnnGraph(ps, 2).iw_entropy(uniform_weights(9))
 
 
 class TestKlEstimate:
@@ -263,7 +267,7 @@ class TestKlEstimate:
         for _ in range(20):
             m = int(rng.integers(10, 60))
             x = rng.normal(size=(m, 2))
-            d = KnnGraph(ParticleSet(x), 4).kl_estimate(ImportanceWeightSet.uniform(m))
+            d = KnnGraph(ParticleSet(x), 4).kl_estimate(uniform_weights(m))
             assert abs(d) < 1e-12
 
     def test_concentration_is_positive(self):

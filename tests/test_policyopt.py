@@ -13,6 +13,7 @@ from dial.constraint import Trajectory
 from dial.envs import TaskSpec, make_env
 from dial.policyopt import (
     GaussianPolicy,
+    MAX_INNER,
     LagrangeState,
     PpoState,
     TrustRegionConfig,
@@ -24,6 +25,8 @@ from dial.policyopt import (
     update_safety_weight,
 )
 from dial.trainer import ConfigError, ControllerPolicy, TrainConfig, _cem_round
+
+from conftest import Sgd
 
 
 # ------------------------------------------------------------ safety weight
@@ -173,6 +176,21 @@ def test_ppo_zero_advantage_entropy_term_touches_only_std():
     assert not np.array_equal(pol.net.biases[2][1:], b2[1:])
 
 
+class OldLogProbs:
+    """The policy, except that its first log_prob call returns old: the
+    update takes its old log-probs from that call."""
+
+    def __init__(self, policy, old):
+        self.policy, self.old = policy, old
+
+    def log_prob(self, obs, a_raw):
+        old, self.old = self.old, None
+        return self.policy.log_prob(obs, a_raw) if old is None else old
+
+    def __getattr__(self, name):
+        return getattr(self.policy, name)
+
+
 def test_ppo_clip_gates_the_gradient():
     def run(shift_negative):
         pol = GaussianPolicy(2, [-1.0], [1.0], hidden=8,
@@ -192,10 +210,9 @@ def test_ppo_clip_gates_the_gradient():
             old = old.copy()
             old[1] = lp[1] + math.log(2.0)
         before = [p.copy() for p in pol.params()]
-        ppo_lagrange_update(pol, rolls, [0.0, 0.0],
+        ppo_lagrange_update(OldLogProbs(pol, old), rolls, [0.0, 0.0],
                             LagrangeState(epsilon=0.1, kappa=0.0, kappa_d=0.0),
-                            ppo, np.random.default_rng(12),
-                            old_logps=[old[:1], old[1:]])
+                            ppo, np.random.default_rng(12))
         return before, [p.copy() for p in pol.params()]
 
     before, after = run(shift_negative=False)
@@ -281,7 +298,8 @@ def test_inner_loop_delta_zero_takes_exactly_one_step():
     out = safe_il_policy_step(pol, rolls, np.zeros(4),
                               TrustRegionConfig(delta=0.0, beta=1.0),
                               LagrangeState(epsilon=0.1, kappa=0.0, kappa_d=0.0),
-                              np.random.default_rng(22), lr=1e-2)
+                              np.random.default_rng(22), opt=Sgd(1e-2),
+                              max_particles=2048)
     assert out["inner_steps"] == 1
     assert out["dkls"][0] < 1e-10
 
@@ -294,8 +312,9 @@ def test_inner_loop_gates_on_divergence():
     out = safe_il_policy_step(pol, rolls, np.zeros(6),
                               TrustRegionConfig(delta=delta, beta=1.0),
                               LagrangeState(epsilon=0.1, kappa=0.0, kappa_d=0.0),
-                              np.random.default_rng(25), lr=0.05)
-    assert 1 <= out["inner_steps"] <= 20
+                              np.random.default_rng(25), opt=Sgd(0.05),
+                              max_particles=2048)
+    assert 1 <= out["inner_steps"] <= MAX_INNER
     assert len(out["dkls"]) == out["inner_steps"]
     # every accepted step was taken at an estimate within the region
     assert all(abs(d) <= delta + 1e-12 for d in out["dkls"])
@@ -308,7 +327,8 @@ def test_inner_loop_raises_weighted_entropy():
     out = safe_il_policy_step(pol, rolls, np.zeros(6),
                               TrustRegionConfig(delta=5.0, beta=1.0),
                               LagrangeState(epsilon=0.1, kappa=0.0, kappa_d=0.0),
-                              np.random.default_rng(28), lr=0.02)
+                              np.random.default_rng(28), opt=Sgd(0.02),
+                              max_particles=2048)
     assert out["inner_steps"] >= 5
     assert out["entropies"][-1] > out["entropies"][0]
 
@@ -324,7 +344,8 @@ def test_inner_loop_risk_penalty_downweights_risky_trajectories():
     safe_il_policy_step(pol, rolls, risk,
                         TrustRegionConfig(delta=10.0, beta=0.0),
                         LagrangeState(epsilon=0.1, kappa=5.0, kappa_d=0.0),
-                        np.random.default_rng(31), lr=0.05)
+                        np.random.default_rng(31), opt=Sgd(0.05),
+                        max_particles=2048)
     lp_after = [pol.log_prob(o, a).sum() for o, a in zip(obs, araw)]
     gain = np.array(lp_after) - np.array(lp_before)
     assert gain[4:].mean() > gain[:4].mean()
@@ -338,7 +359,8 @@ def test_inner_loop_subsamples_and_is_deterministic():
         safe_il_policy_step(pol, rolls, np.zeros(10),
                             TrustRegionConfig(delta=0.5, beta=1.0),
                             LagrangeState(epsilon=0.1, kappa=0.0, kappa_d=0.0),
-                            np.random.default_rng(34), lr=0.02, max_particles=64)
+                            np.random.default_rng(34), opt=Sgd(0.02),
+                            max_particles=64)
         return [p.copy() for p in pol.params()]
 
     a, b = run(), run()

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dial.betarisk import BetaParams
 from dial.constraint import PER_STEP_BETA, THRESHOLD, ConstraintModel, Trajectory
 from dial.dataio import hash_file, read_metrics, write_dataset
 from dial.envs import TaskSpec, make_env
@@ -44,6 +45,8 @@ from dial.trainer import (
     safe_tl,
     task_mode_for,
 )
+
+from conftest import Sgd
 
 NAV_SMALL = {"horizon": 60}
 # per-env sizes at which every stage runs in about a second
@@ -159,9 +162,9 @@ class TestTrainConfig:
 class TestMetrics:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            Metrics(rr=0.0, cr=[0.0], cv=1.2, se=0.0)
+            Metrics(rr=0.0, cr=[0.0], cv=1.2, se=0.0, goal_rate=0.0)
         with pytest.raises(ValueError):
-            Metrics(rr=0.0, cr=[0.0], cv=0.5, se=-0.1)
+            Metrics(rr=0.0, cr=[0.0], cv=0.5, se=-0.1, goal_rate=0.0)
 
     def test_to_dict_keys(self):
         m = Metrics(rr=1.0, cr=[0.5, 0.5], cv=0.0, se=2.0, goal_rate=0.8)
@@ -196,12 +199,12 @@ class TestRollouts:
         env = make_env("basic_nav", NAV_SMALL)
         rng = np.random.default_rng(0)
         pol = GaussianPolicy(env.state_dim, env.action_low, env.action_high, 8, rng)
-        tau, info = run_episode(env, pol, env.sample_task(rng, "il"), rng)
+        tau, goal = run_episode(env, pol, env.sample_task(rng, "il"), rng)
         assert 1 <= len(tau) <= env.horizon
         assert tau.states.shape == (len(tau), env.state_dim)
         assert tau.actions.shape == (len(tau), env.action_dim)
         assert tau.cost_features.shape == (len(tau), env.cost_dim)
-        assert isinstance(info["goal"], bool)
+        assert isinstance(goal, bool)
 
     def test_budget_accounting_within_one_rollout(self):
         # recorded steps equal the budget within one episode's length
@@ -219,9 +222,9 @@ class TestRollouts:
         env = make_env("basic_nav", NAV_SMALL)
         rng = np.random.default_rng(2)
         pol = GaussianPolicy(env.state_dim, env.action_low, env.action_high, 8, rng)
-        trajs, infos, _ = collect_rollouts(env, pol, 7, rng, "il")
+        trajs, goals, _ = collect_rollouts(env, pol, 7, rng, "il")
         assert len(trajs) == 7
-        assert len(infos) == 7
+        assert len(goals) == 7
 
     def test_rollout_metrics_hand_values(self):
         env = make_env("basic_nav", NAV_SMALL)
@@ -232,8 +235,9 @@ class TestRollouts:
             cost_features=np.full((t, 1), rate))
         hot = mk(1.0, 1.0)       # rate 1 > eps, violating
         cold = mk(3.0, 0.0)      # clean
-        m = rollout_metrics(env, [hot, cold])
+        m = rollout_metrics(env, [hot, cold], [True, False])
         assert m.rr == pytest.approx((10.0 + 30.0) / 2)
+        assert m.goal_rate == 0.5
         assert m.cr[0] == pytest.approx((10.0 + 0.0) / 2)
         assert m.cv == pytest.approx(0.5)
         assert m.feasible_reward == pytest.approx(30.0)
@@ -245,7 +249,7 @@ class TestRollouts:
         tau = Trajectory(states=np.zeros((5, 2)), actions=np.zeros((5, 2)),
                          extrinsic_rewards=np.ones(5),
                          cost_features=np.ones((5, 1)))
-        m = rollout_metrics(env, [tau])
+        m = rollout_metrics(env, [tau], [False])
         assert m.cv == 1.0
         assert m.feasible_reward is None
 
@@ -253,8 +257,8 @@ class TestRollouts:
         env = make_env("basic_nav", NAV_SMALL)
         rng = np.random.default_rng(3)
         pol = GaussianPolicy(env.state_dim, env.action_low, env.action_high, 8, rng)
-        trajs, infos, _ = collect_rollouts(env, pol, 5, rng, "il")
-        m = rollout_metrics(env, trajs, infos)
+        trajs, goals, _ = collect_rollouts(env, pol, 5, rng, "il")
+        m = rollout_metrics(env, trajs, goals)
         assert 0.0 <= m.se <= np.log(20 * 20)
 
 
@@ -286,11 +290,11 @@ class TestEvaluate:
         for s in (1, 2):
             for ep in range(2):
                 rng = np.random.default_rng(np.random.SeedSequence([s, ep]))
-                tau, info = run_episode(env, pol, env.sample_task(rng, mode), rng)
+                tau, goal = run_episode(env, pol, env.sample_task(rng, mode), rng)
                 expect.append({"seed": s, "episode": ep,
                                "rr": float(tau.extrinsic_rewards.sum()),
                                "cr": [float(v) for v in tau.cost_features.sum(axis=0)],
-                               "len": len(tau), "goal": bool(info.get("goal"))})
+                               "len": len(tau), "goal": goal})
         assert detail == expect
 
     def test_multi_seed_detail(self):
@@ -324,19 +328,19 @@ class TestLockstep:
         metrics, detail = evaluate(TrainConfig.for_env(
             env_name, "eval", eval_episodes=4, eval_seeds=seeds, env_config=ec), pol)
         mode = task_mode_for(env_name, "eval")
-        taus, infos, expect = [], [], []
+        taus, goals, expect = [], [], []
         for s in seeds:
             for ep in range(4):
                 rng = np.random.default_rng(np.random.SeedSequence([s, ep]))
-                tau, info = run_episode(env, pol, env.sample_task(rng, mode), rng)
+                tau, goal = run_episode(env, pol, env.sample_task(rng, mode), rng)
                 taus.append(tau)
-                infos.append(info)
+                goals.append(goal)
                 expect.append({"seed": s, "episode": ep,
                                "rr": float(tau.extrinsic_rewards.sum()),
                                "cr": [float(v) for v in tau.cost_features.sum(axis=0)],
-                               "len": len(tau), "goal": bool(info["goal"])})
+                               "len": len(tau), "goal": goal})
         assert detail == expect
-        assert metrics.to_dict() == rollout_metrics(env, taus, infos).to_dict()
+        assert metrics.to_dict() == rollout_metrics(env, taus, goals).to_dict()
         if bias:
             lens = [row["len"] for row in detail]
             assert any(row["goal"] for row in detail) and len(set(lens)) > 1
@@ -352,8 +356,8 @@ class TestLockstep:
             env, starts, lambda obs: pol.act_rows(obs, rngs), goals)
         for i in range(12):
             twin = np.random.default_rng([21, i])
-            tau, info = run_episode(env, pol, env.sample_task(twin, "il"), twin)
-            assert lens[i] == len(tau) and goal[i] == info["goal"]
+            tau, reached = run_episode(env, pol, env.sample_task(twin, "il"), twin)
+            assert lens[i] == len(tau) and goal[i] == reached
             for rec, arr in zip(recs, (tau.states, tau.actions,
                                        tau.extrinsic_rewards, tau.cost_features)):
                 assert rec[:lens[i], i].tobytes() == arr.tobytes()
@@ -443,13 +447,13 @@ def _serial_demos(cfg: TrainConfig, out: Path) -> tuple:
     rng = np.random.default_rng(cfg.seed)
     mode = task_mode_for(cfg.env, "expert-gen")
     policy_for = RECIPES[cfg.env].experts(env, cfg, rng, mode)
-    trajs, infos = [], []
+    trajs, goals = [], []
     for _ in range(cfg.n_experts):
         task = env.sample_task(rng, mode)
-        tau, info = run_episode(env, policy_for(task.goal), task, rng)
+        tau, goal = run_episode(env, policy_for(task.goal), task, rng)
         trajs.append(tau)
-        infos.append(info)
-    m = rollout_metrics(env, trajs, infos)
+        goals.append(goal)
+    m = rollout_metrics(env, trajs, goals)
     write_dataset(out, trajs)
     cv_limit = env.eps_scalar * cfg.safety_margin
     manifest = {"v": 1, "env": cfg.env, "seed": cfg.seed, "n_trajectories": len(trajs),
@@ -490,8 +494,8 @@ class TestExpertDemos:
             task = env.sample_task(rng, "il")
             pol = DetourPolicy(task.goal, env.cfg["hazard_center"],
                                env.cfg["hazard_radius"])
-            tau, info = run_episode(env, pol, task, child)
-            assert info["goal"]
+            tau, goal = run_episode(env, pol, task, child)
+            assert goal
             trajs.append(tau)
             lens.append(len(tau))
         write_dataset(tmp_path / "want.jsonl", trajs)
@@ -892,7 +896,8 @@ def test_benchmark_hooks_resolve(monkeypatch, tmp_path):
         constraint.gamma_criterion(model, taus, RiskLevel(0.5))
         prev = constraint.gamma_criterion(model, taus, RiskLevel(1.0))
         constraint.constraint_update(model, taus[:1], taus, RiskLevel(0.5),
-                                     prev_gamma=prev)
+                                     kl_weight=1.0, prior=BetaParams(0.1, 0.9),
+                                     prev_gamma=prev, opt=Sgd(1e-2))
         entropy.KnnGraph(entropy.ParticleSet(rng.normal(size=(12, 2))), 4)
         env = make_env("basic_nav", NAV_SMALL)
         policy = GaussianPolicy(env.state_dim, env.action_low, env.action_high, 4, rng)
