@@ -18,18 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from .betarisk import RiskLevel
-from .constraint import PER_STEP_BETA, ConstraintModel, constraint_values
+from .constraint import constraint_values
 from .dataio import DataFormatError, RunManifest, write_grid_csv, write_metrics
 from .envs import make_env
 from .trainer import (
     ConfigError,
     ExpertInfeasibleError,
     TrainConfig,
-    check_constraint,
     check_policy,
     collect_rollouts,
     evaluate,
     generate_experts,
+    load_constraint,
     load_policy,
     safe_il,
     safe_tl,
@@ -116,6 +116,13 @@ def _parser(cmd: str) -> argparse.ArgumentParser:
     return p
 
 
+def _grid_header(what: str, env) -> str:
+    """Grid CSV header: what the cells hold, then env's grid axes and bins."""
+    (bx, by), lo, hi = env.grid_bins, env.grid_lo, env.grid_hi
+    return (f"{what}; rows: axis 0 ({float(lo[0])!r}..{float(hi[0])!r}, {bx} bins), "
+            f"cols: axis 1 ({float(lo[1])!r}..{float(hi[1])!r}, {by} bins)")
+
+
 # ---------------------------------------------------------------------------
 # command bodies; each returns {artifact name: path under out_dir}
 
@@ -171,10 +178,7 @@ def _cmd_export_constraint_map(args, out_dir: Path) -> tuple:
         raise ConfigError(
             f"constraint map needs a 2-d observation; '{cfg.env}' has "
             f"{env.state_dim}")
-    model = ConstraintModel.load(args.constraint)
-    check_constraint(model, env, args.constraint)
-    if model.mode != PER_STEP_BETA:
-        raise ConfigError(f"{args.constraint}: map export needs a per-step model")
+    model = load_constraint(args.constraint, env)
     bx, by = env.grid_bins
     lo = [float(v) for v in env.grid_lo]
     hi = [float(v) for v in env.grid_hi]
@@ -186,10 +190,8 @@ def _cmd_export_constraint_map(args, out_dir: Path) -> tuple:
                              RiskLevel(args.risk_level))
     grid = risk.reshape(bx, by)
     path = out_dir / "constraint_map.csv"
-    write_grid_csv(path, grid, header=(
-        f"inferred risk at lambda={args.risk_level!r}; rows: axis 0 "
-        f"({lo[0]!r}..{hi[0]!r}, {bx} bins), cols: axis 1 "
-        f"({lo[1]!r}..{hi[1]!r}, {by} bins)"))
+    write_grid_csv(path, grid, _grid_header(
+        f"inferred risk at lambda={args.risk_level!r}", env))
     print(f"wrote {bx}x{by} risk map to {path}")
     return cfg, {"constraint_map": path}
 
@@ -206,7 +208,8 @@ def _cmd_export_visitation_map(args, out_dir: Path) -> tuple:
     for tau in trajs:
         grid.add(env.project(tau.states))
     path = out_dir / "visitation_map.csv"
-    grid.to_csv(path)
+    write_grid_csv(path, grid.counts, _grid_header(
+        f"visit counts over {cfg.eval_episodes} episodes", env))
     print(f"wrote visit counts ({grid.bins[0]}x{grid.bins[1]}, "
           f"{cfg.eval_episodes} episodes) to {path}")
     return cfg, {"visitation_map": path}

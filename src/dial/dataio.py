@@ -141,7 +141,10 @@ def read_metrics(path) -> list:
 # CSV grids
 
 def write_grid_csv(path, values: np.ndarray, header: str) -> None:
-    """2-d grid as comma-separated rows under a '#' header naming the axes."""
+    """2-d grid as one '# header' line, then one comma-separated line of
+    repr(float) cells per row. Both CLI maps (constraint_map.csv and
+    visitation_map.csv) are written so, with a header naming what the cells
+    hold, then each axis's range and bins; read_grid_csv reads either."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"grid must be 2-d, got shape {values.shape}")

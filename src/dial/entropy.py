@@ -83,12 +83,10 @@ def _knn_block(x: np.ndarray, s: int, e: int, k: int, width: int):
         diff = x[s:e, j, None] - x[None, :, j]
         d2 += np.square(diff, out=diff)
     d2[np.arange(e - s), np.arange(s, e)] = np.inf
-    if width == m - 1:
-        cand = np.argsort(d2, axis=1, kind="stable")
-    else:
-        part = np.argpartition(d2, width - 1, axis=1)[:, :width]
-        order = np.lexsort((part, np.take_along_axis(d2, part, axis=1)), axis=1)
-        cand = np.take_along_axis(part, order, axis=1)
+    # at width m - 1 self, the only inf in its row, is the one member dropped
+    part = np.argpartition(d2, width - 1, axis=1)[:, :width]
+    order = np.lexsort((part, np.take_along_axis(d2, part, axis=1)), axis=1)
+    cand = np.take_along_axis(part, order, axis=1)
     kth = np.sqrt(np.take_along_axis(d2, cand[:, k - 1 : k], axis=1)[:, 0])
     return cand[:, :k], kth
 
@@ -215,32 +213,6 @@ class VisitationGrid:
 
     def entropy(self) -> float:
         return state_entropy_metric(self)
-
-    def to_csv(self, path) -> None:
-        header = (f"# x_lo={float(self.lo[0])!r} x_hi={float(self.hi[0])!r} "
-                  f"y_lo={float(self.lo[1])!r} y_hi={float(self.hi[1])!r} "
-                  f"x_bins={self.counts.shape[0]} y_bins={self.counts.shape[1]}")
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in self.counts:
-                fh.write(",".join(str(int(v)) for v in row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "VisitationGrid":
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("# "):
-                raise ValueError(f"{path}: missing grid header line")
-            fields = dict(tok.split("=", 1) for tok in header[2:].split())
-            lo = np.array([float(fields["x_lo"]), float(fields["y_lo"])])
-            hi = np.array([float(fields["x_hi"]), float(fields["y_hi"])])
-            rows = [[int(v) for v in line.strip().split(",")]
-                    for line in fh if line.strip()]
-        counts = np.array(rows, dtype=np.int64)
-        want = (int(fields["x_bins"]), int(fields["y_bins"]))
-        if counts.shape != want:
-            raise ValueError(f"{path}: count block {counts.shape} does not match header {want}")
-        return cls(lo=lo, hi=hi, counts=counts)
 
 
 def state_entropy_metric(grid: VisitationGrid) -> float:

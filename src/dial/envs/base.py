@@ -75,11 +75,13 @@ class StepResult:
 
 
 def _fits(val, default) -> bool:
-    """Whether val is of default's kind: a number (not a bool) for a number,
-    a list of as many numbers for a vector, a non-empty list of such vectors
-    for a list of vectors."""
+    """Whether val is of default's kind: a whole number (not a bool) for an
+    int, any real number (not a bool) for a float, a list of as many such
+    numbers for a vector, a non-empty list of such vectors for a list of
+    vectors."""
     if isinstance(default, numbers.Real):
-        return isinstance(val, numbers.Real) and not isinstance(val, bool)
+        kind = numbers.Integral if isinstance(default, int) else numbers.Real
+        return isinstance(val, kind) and not isinstance(val, bool)
     if not isinstance(val, (list, tuple)):
         return False
     if isinstance(default[0], list):

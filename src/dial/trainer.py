@@ -346,18 +346,14 @@ class PumpPolicy(GainPolicy):
             a = -np.ones(1)
         return a
 
-    @classmethod
-    def act_batch(cls, gains, obs):
-        """act's throttle (±1) per row of gains and observations."""
+    def act_rows(self, obs, rngs):
+        """act over observation rows, bit for bit; draws nothing. gains may
+        be one vector for every row or one row of gains per observation."""
         x, v = obs[..., 0], obs[..., 1]
-        brake_line = cls.BRAKE_MID + gains[..., 0] * cls.BRAKE_SPAN
-        retreat_cap = cls.CAP_MID + gains[..., 1] * cls.CAP_SPAN
+        brake_line = self.BRAKE_MID + self.gains[..., 0] * self.BRAKE_SPAN
+        retreat_cap = self.CAP_MID + self.gains[..., 1] * self.CAP_SPAN
         return np.where((v >= 0.0) | (x <= brake_line) | (v <= -retreat_cap),
                         1.0, -1.0)
-
-    def act_rows(self, obs, rngs):
-        """act over observation rows, bit for bit; draws nothing."""
-        return self.act_batch(self.gains, obs)
 
 
 class BalancePolicy(GainPolicy):
@@ -473,15 +469,19 @@ class DetourPolicy:
         return d * d - proj * proj < self.avoid ** 2
 
 
+def _checkpoint_kind(path, want: tuple) -> str:
+    """path's checkpoint kind; ConfigError unless it is one of want."""
+    kind = load_checkpoint(path)[1].get("kind")
+    if kind not in want:
+        raise ConfigError(f"{path}: a '{kind}' checkpoint, not {' or '.join(want)}")
+    return kind
+
+
 def load_policy(path):
     """Dispatch on the checkpoint kind."""
-    _, meta = load_checkpoint(path)
-    kind = meta.get("kind")
-    if kind == "policy":
+    if _checkpoint_kind(path, ("policy", "controller")) == "policy":
         return GaussianPolicy.load(path)
-    if kind == "controller":
-        return ControllerPolicy.load(path)
-    raise ValueError(f"{path}: unknown checkpoint kind '{kind}'")
+    return ControllerPolicy.load(path)
 
 
 def _fit(path, env, what: str, have, want) -> None:
@@ -502,10 +502,12 @@ def check_policy(policy, env, path) -> None:
              (env.state_dim, env.action_dim))
 
 
-def check_constraint(model: ConstraintModel, env, path) -> None:
-    """Raise ConfigError unless model is the mode env's recipe learns and
-    fits env: (state, action) dims of a per-step model, cost features of a
-    threshold model."""
+def load_constraint(path, env) -> ConstraintModel:
+    """The constraint model at path; ConfigError unless it is one, of the
+    mode env's recipe learns, and fits env: (state, action) dims of a
+    per-step model, cost features of a threshold model."""
+    _checkpoint_kind(path, ("constraint",))
+    model = ConstraintModel.load(path)
     driving = RECIPES[env.name].driving
     _fit(path, env, "mode", model.mode, THRESHOLD if driving else PER_STEP_BETA)
     if driving:
@@ -513,6 +515,7 @@ def check_constraint(model: ConstraintModel, env, path) -> None:
     else:
         _fit(path, env, "(state, action) dims", (model.state_dim, model.action_dim),
              (env.state_dim, env.action_dim))
+    return model
 
 
 def run_episode(env, policy, task, rng) -> tuple:
@@ -705,13 +708,13 @@ def _cem_objective(env, cfg: TrainConfig, rng, task_mode: str,
     Violations are positive excesses of per-step feature rates over the
     given thresholds (true budgets for experts, learned ones after).
     episode_tail ranks by the worst episode instead of the batch mean,
-    for searches that face a per-episode certification afterwards. An env
-    with step_batch and a policy with act_batch run every candidate x seed
-    episode in lockstep through run_episodes; others run them one by one.
+    for searches that face a per-episode certification afterwards. Like
+    run_tasks, an env with step_batch and a policy with act_rows run the
+    candidate x seed episodes in lockstep, a gains row each; others one by one.
     """
     seeds = [int(rng.integers(2 ** 31 - 1))
              for _ in range(cfg.cem_eval_episodes)]
-    batched = hasattr(env, "step_batch") and hasattr(make_policy, "act_batch")
+    batched = hasattr(env, "step_batch") and hasattr(make_policy, "act_rows")
     if batched:
         # each seed's stream draws only its task and start, so every
         # candidate starts from the same states
@@ -723,10 +726,11 @@ def _cem_objective(env, cfg: TrainConfig, rng, task_mode: str,
     def evaluate_candidates(cand):
         # episode reward sums and cost rows, candidate-major then seed
         if batched:
-            gains = np.repeat(cand, len(seeds), axis=0)
+            policy = make_policy(cand[0])
+            policy.gains = np.repeat(cand, len(seeds), axis=0)
             _, _, rewards, costs, lens, _ = run_episodes(
                 env, np.tile(np.array(starts, dtype=float), (len(cand), 1)),
-                lambda obs: make_policy.act_batch(gains, obs))
+                lambda obs: policy.act_rows(obs, None))
             rs = [float(rewards[:n, i].sum()) for i, n in enumerate(lens)]
             costs = [costs[:n, i] for i, n in enumerate(lens)]
         else:
@@ -1032,8 +1036,7 @@ def safe_tl(cfg: TrainConfig, constraint_path, policy_path, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     env = make_env(cfg.env, cfg.env_config)
     rng = np.random.default_rng(cfg.seed)
-    model = ConstraintModel.load(constraint_path)
-    check_constraint(model, env, constraint_path)
+    model = load_constraint(constraint_path, env)
     policy = None
     if policy_path is not None:
         policy = load_policy(policy_path)

@@ -125,14 +125,18 @@ class TestConfigErrors:
         ("gen-experts", "env_config", {"hazard_center": [5.0]}),
         ("gen-experts", "env_config", {"horizon": "5"}),
         ("gen-experts", "env_config", {"horizon": True}),
+        ("gen-experts", "env_config", {"horizon": 60.7}),
+        ("gen-experts", "env_config", {"grid_bins": [2.5, 3]}),
+        ("gen-experts --env intersection", "env_config", {"n_vehicles": 3.5}),
     ])
     def test_malformed_value(self, tmp_path, capsys, cmd, key, value):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(dict(CFG, **{key: value})))
+        cmd, *flags = cmd.split()
         extra = {"train-il": ["--experts", str(tmp_path / "experts.jsonl")],
                  "eval": ["--policy", str(tmp_path / "x.ckpt")]}.get(cmd, [])
         assert main([cmd, "--config", str(p), "--out-dir", str(tmp_path / "out"),
-                     *extra]) == 2
+                     *flags, *extra]) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         if key == "env_config":
@@ -163,11 +167,6 @@ class TestRuntimeErrors:
         assert main(["gen-experts", "--config", str(p),
                      "--out-dir", str(tmp_path / "exp")]) == 3
         assert "refusing" in capsys.readouterr().err
-
-    def test_wrong_checkpoint_kind_exit_3(self, tmp_path, chain):
-        assert main(["eval", "--config", str(chain["cfg"]),
-                     "--policy", str(chain["constraint"]),
-                     "--out-dir", str(tmp_path)]) == 3
 
 
 class TestCheckpointFit:
@@ -215,6 +214,27 @@ class TestCheckpointFit:
         assert main(["eval", "--config", str(chain["cfg"]), "--policy", str(policy),
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert "GaussianPolicy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd,flag", [
+        ("eval", "--policy"), ("export-visitation-map", "--policy"),
+        ("train-tl", "--policy"), ("sweep-lambda", "--policy"),
+        ("export-constraint-map", "--constraint"), ("train-tl", "--constraint"),
+        ("sweep-lambda", "--constraint")])
+    def test_wrong_kind(self, tmp_path, chain, capsys, cmd, flag):
+        # a policy checkpoint where a constraint goes, and the reverse
+        wrong = {"--policy": chain["constraint"], "--constraint": chain["policy"]}
+        paths = ({"--policy": chain["policy"], "--constraint": chain["constraint"]}
+                 if cmd in ("train-tl", "sweep-lambda") else {})
+        paths[flag] = wrong[flag]
+        args = [a for f, path in paths.items() for a in (f, str(path))]
+        out = tmp_path / "out"
+        assert main([cmd, "--config", str(chain["cfg"]), *args,
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        found = "constraint" if flag == "--policy" else "policy"
+        assert str(wrong[flag]) in err and f"a '{found}' checkpoint" in err
+        assert "Traceback" not in err
+        assert not (out / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("cmd", ["export-constraint-map", "train-tl",
                                      "sweep-lambda"])
@@ -319,8 +339,14 @@ class TestExports:
                      "--out-dir", str(out)]) == 0
         grid = read_grid_csv(out / "visitation_map.csv")
         assert grid.shape == (20, 20)
+        assert np.array_equal(grid, np.round(grid))
         total = grid.sum()
         assert 0 < total <= CFG["eval_episodes"] * 60
+        # the constraint map's layout: both axes' ranges and bin counts
+        header = (out / "visitation_map.csv").read_text().splitlines()[0]
+        assert header.startswith("# visit counts over 2 episodes;")
+        assert ("rows: axis 0 (0.0..10.0, 20 bins), "
+                "cols: axis 1 (0.0..10.0, 20 bins)") in header
 
 
 class TestSweep:

@@ -593,6 +593,29 @@ class TestPumpCem:
         assert min(lens) < env.horizon == max(lens)
         assert np.any(viols > 0.0) and np.any(viols == 0.0)
 
+    def test_gains_rows_are_act_per_row(self):
+        # the lockstep search steps one PumpPolicy that holds a gains row
+        # per observation row; each row must act as its own PumpPolicy
+        rng = np.random.default_rng(8)
+        n = 400
+        gains = rng.normal(0.0, 1.0, (n, 2))
+        brake = PumpPolicy.BRAKE_MID + gains[:, 0] * PumpPolicy.BRAKE_SPAN
+        cap = PumpPolicy.CAP_MID + gains[:, 1] * PumpPolicy.CAP_SPAN
+        obs = np.stack([brake + rng.normal(0.0, 0.1, n),
+                        -cap + rng.normal(0.0, 0.01, n)], axis=1)
+        # rows exactly on the brake line and on the retreat cap
+        obs[:10, 0], obs[10:20, 1] = brake[:10], -cap[10:20]
+        pol = PumpPolicy(np.zeros(2))
+        pol.gains = gains
+        got = pol.act_rows(obs, None)
+        sides = set()
+        for i, (x, v) in enumerate(obs):
+            want = PumpPolicy(gains[i]).act(obs[i], None)
+            assert got[i:i + 1].tobytes() == want.tobytes(), i
+            sides.add((bool(v >= 0.0), bool(x <= brake[i]), bool(v <= -cap[i])))
+        assert {(False, b, c) for b in (True, False) for c in (True, False)} <= sides
+        assert (True, False, False) in sides
+
     def test_expert_gen_repeats_at_benchmark_sizes(self, tmp_path):
         cfg = TrainConfig.for_env("mountain_car", "expert-gen", seed=700,
                                   cem_samp=24, cem_elite=4, cem_iter=1,
