@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betarisk import (BetaParams, RiskLevel, beta_kl_arr, cvar_arr, cvar_grad_arr,
-                       trigamma_arr)
+from .betarisk import (BetaParams, RiskLevel, beta_kl_arr, beta_mean_arr, cvar_arr,
+                       cvar_grad_arr, trigamma_arr)
 from .nets import AdamState, BetaHead, Mlp, load_checkpoint, load_mlp, mlp_tensors, save_checkpoint
 
 LOG_FLOOR = math.log(1e-30)
+# slack for np.log's rounding when a sum of log means vouches for the floor
+FLOOR_MARGIN = 1e-6
 OMEGA_LO, OMEGA_HI = 1e-3, 1e3
 
 PER_STEP_BETA = "per-step-beta"
@@ -208,9 +210,9 @@ def _log_gamma_row_grads(cv: np.ndarray):
     return max(log_g, LOG_FLOOR), grads
 
 
-def _report(aborted: bool, loss_e, loss_n, kl, grad_norm, omegas) -> dict:
+def _report(aborted: bool, loss_e, loss_n, kl, grad_norm, omegas, floored=0) -> dict:
     return {"nan_aborted": aborted, "loss_expert": loss_e, "loss_nominal": loss_n,
-            "kl": kl, "grad_norm": grad_norm, "omegas": list(omegas)}
+            "kl": kl, "grad_norm": grad_norm, "omegas": list(omegas), "floored": floored}
 
 
 def _update_threshold(model, sides, omegas, opt):
@@ -245,6 +247,15 @@ def constraint_update(model: ConstraintModel, expert_batch: list, nominal_batch:
     its own lr. prev_gamma holds the nominal trajectories' lam = 1 criterion
     under the model they were collected against, from which the importance
     weights omega follow.
+
+    A row's CVaR never exceeds its Beta mean, so a trajectory whose summed
+    log means is at most LOG_FLOOR - FLOOR_MARGIN is floored and its rows
+    get zero gradient: those rows keep their means as CVaRs with zero
+    partials, and only the other rows go to cvar_grad_arr, each with the
+    bits it gets in any batch.  A skipped row's quantile is never solved,
+    so it cannot raise; every computed row still raises on a failed solve.
+    A bound that is not a number takes the exact path.  The report counts
+    the trajectories whose log gamma sits at LOG_FLOOR as floored.
     """
     if not expert_batch or not nominal_batch:
         raise ValueError("need nonempty expert and nominal batches")
@@ -264,15 +275,24 @@ def constraint_update(model: ConstraintModel, expert_batch: list, nominal_batch:
                         for _, _, tau in sides])
     raw = model.net.forward(x)
     alphas = model.head.alphas(raw)
-    cv, dc1, dc2 = cvar_grad_arr(alphas[:, 0], alphas[:, 1], lam.lam)
+    cv = beta_mean_arr(alphas[:, 0], alphas[:, 1])
+    dc1, dc2 = np.zeros(len(x)), np.zeros(len(x))
+    lens = [len(tau) for _, _, tau in sides]
+    bounds = np.array([np.log(np.maximum(c, 1e-300)).sum()
+                       for c in np.split(cv, np.cumsum(lens)[:-1])])
+    keep = np.repeat(~(bounds <= LOG_FLOOR - FLOOR_MARGIN), lens)
+    if keep.any():
+        cv[keep], dc1[keep], dc2[keep] = cvar_grad_arr(alphas[keep, 0], alphas[keep, 1],
+                                                       lam.lam)
     kl, dk1, dk2 = _kl_grads(alphas, prior)
 
     dalpha = np.zeros_like(alphas)
     loss_e = loss_n = 0.0
-    hi = 0
+    floored = hi = 0
     for w, n, tau in sides:
         lo, hi, w = hi, hi + len(tau), w / n
         log_g, row_g = _log_gamma_row_grads(cv[lo:hi])
+        floored += log_g == LOG_FLOOR
         dalpha[lo:hi, 0] += w * row_g * dc1[lo:hi]
         dalpha[lo:hi, 1] += w * row_g * dc2[lo:hi]
         if w > 0:
@@ -286,10 +306,11 @@ def constraint_update(model: ConstraintModel, expert_batch: list, nominal_batch:
     draw = model.head.backward(raw, dalpha)
     grads = model.net.backward(draw)
     if not all(np.all(np.isfinite(g)) for g in grads):
-        return _report(True, loss_e, loss_n, float(kl.mean()), float("nan"), omegas)
+        return _report(True, loss_e, loss_n, float(kl.mean()), float("nan"), omegas,
+                       floored)
     gnorm = math.sqrt(sum(float((g * g).sum()) for g in grads))
     opt.step(model.net.params(), [-g for g in grads])
-    return _report(False, loss_e, loss_n, float(kl.mean()), gnorm, omegas)
+    return _report(False, loss_e, loss_n, float(kl.mean()), gnorm, omegas, floored)
 
 
 def constraint_values(model: ConstraintModel, obs: np.ndarray, action: np.ndarray,

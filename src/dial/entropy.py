@@ -111,6 +111,14 @@ def _knn_search(x: np.ndarray, k: int):
     return nbr, kth
 
 
+def _jitter(x: np.ndarray) -> np.ndarray:
+    """x plus a deterministic jitter of _JITTER_SCALE times each axis's range."""
+    rng = np.random.default_rng(_JITTER_SEED)
+    span = x.max(axis=0) - x.min(axis=0)
+    span = np.where(span > 0.0, span, 1.0)
+    return x + rng.standard_normal(x.shape) * (_JITTER_SCALE * span)
+
+
 class KnnGraph:
     """Frozen neighborhood structure of a particle set.
 
@@ -124,16 +132,14 @@ class KnnGraph:
         if ps.m <= k:
             raise ValueError(f"need more than k={k} particles, got M={ps.m}")
         x = ps.points
-        nbr, kth = _knn_search(x, k)
+        # a point with k exact copies has a zero k-th distance: jitter first
+        dup = np.unique(x, axis=0, return_counts=True)[1].max() > k
+        nbr, kth = _knn_search(_jitter(x) if dup else x, k)
+        if (kth == 0.0).any() and not dup:
+            # nearly equal points whose squared distance underflows
+            nbr, kth = _knn_search(_jitter(x), k)
         if (kth == 0.0).any():
-            # duplicate points: deterministic jitter scaled by the data range
-            rng = np.random.default_rng(_JITTER_SEED)
-            span = x.max(axis=0) - x.min(axis=0)
-            span = np.where(span > 0.0, span, 1.0)
-            x = x + rng.standard_normal(x.shape) * (_JITTER_SCALE * span)
-            nbr, kth = _knn_search(x, k)
-            if (kth == 0.0).any():
-                raise RuntimeError("zero k-th neighbor distance persists after jitter")
+            raise RuntimeError("zero k-th neighbor distance persists after jitter")
         self.m = ps.m
         self.dim = ps.dim
         self.k = k

@@ -470,8 +470,14 @@ class DetourPolicy:
 
 
 def _checkpoint_kind(path, want: tuple) -> str:
-    """path's checkpoint kind; ConfigError unless it is one of want."""
-    kind = load_checkpoint(path)[1].get("kind")
+    """path's checkpoint kind; ConfigError unless path reads as a checkpoint
+    of one of the kinds in want."""
+    try:
+        kind = load_checkpoint(path)[1].get("kind")
+    except (OSError, ValueError) as exc:
+        # load_checkpoint's own messages already lead with the path
+        msg = str(getattr(exc, "strerror", None) or exc)
+        raise ConfigError(msg if msg.startswith(f"{path}:") else f"{path}: {msg}") from exc
     if kind not in want:
         raise ConfigError(f"{path}: a '{kind}' checkpoint, not {' or '.join(want)}")
     return kind
@@ -946,7 +952,7 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
         # constraint phase: importance weights are taken against the model
         # that was current when this batch was collected
         prev_gamma = gamma_criterion(model, rollouts, RiskLevel(1.0))
-        aborts = 0
+        aborts = floored = 0
         for _ in range(cfg.constraint_steps):
             lam_c = _policy_lambda(cfg, rng)
             ei = _draw_batch(len(experts), cfg.batch_expert, rng)
@@ -957,6 +963,7 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
                                     prior=prior, prev_gamma=prev_gamma[ni],
                                     opt=opt_c)
             aborts += upd["nan_aborted"]
+            floored += upd["floored"]
 
         lam_pol = _policy_lambda(cfg, rng)
         risk_bars = 1.0 - gamma_criterion(model, rollouts, lam_pol)
@@ -978,7 +985,8 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
             policy_aborted = int(diag["nan_aborted"])
         _record(records, env, rollouts, goals, steps_total, ls, expected,
                 {"dkl": dkl, "lambda": lam_pol.lam,
-                 "constraint_aborts": aborts, "policy_aborted": policy_aborted})
+                 "constraint_aborts": aborts, "constraint_floored": floored,
+                 "policy_aborted": policy_aborted})
 
     return _save_run(out_dir, records, policy, model)
 

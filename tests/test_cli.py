@@ -236,6 +236,28 @@ class TestCheckpointFit:
         assert "Traceback" not in err
         assert not (out / "run_manifest.json").exists()
 
+    @pytest.mark.parametrize("bad", ["missing", "not_a_checkpoint"])
+    @pytest.mark.parametrize("cmd,flag", [
+        ("eval", "--policy"), ("export-visitation-map", "--policy"),
+        ("train-tl", "--policy"), ("sweep-lambda", "--policy"),
+        ("export-constraint-map", "--constraint"), ("train-tl", "--constraint"),
+        ("sweep-lambda", "--constraint")])
+    def test_unreadable_checkpoint(self, tmp_path, chain, capsys, cmd, flag, bad):
+        path = tmp_path / f"{bad}.ckpt"
+        if bad == "not_a_checkpoint":
+            path.write_text("{}")
+        paths = ({"--policy": chain["policy"], "--constraint": chain["constraint"]}
+                 if cmd in ("train-tl", "sweep-lambda") else {})
+        paths[flag] = path
+        args = [a for f, p in paths.items() for a in (f, str(p))]
+        out = tmp_path / "out"
+        assert main([cmd, "--config", str(chain["cfg"]), *args,
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err
+        assert not (out / "run_manifest.json").exists()
+
     @pytest.mark.parametrize("cmd", ["export-constraint-map", "train-tl",
                                      "sweep-lambda"])
     def test_constraint_dims(self, tmp_path, chain, capsys, cmd):

@@ -12,11 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from dial.betarisk import BetaParams, RiskLevel, beta_kl_arr
+from dial.betarisk import BetaParams, RiskLevel, beta_kl_arr, cvar_grad_arr
 from dial.constraint import (
+    FLOOR_MARGIN,
+    LOG_FLOOR,
     ConstraintModel,
     Trajectory,
     _kl_grads,
+    _log_gamma_row_grads,
     constraint_update,
     constraint_values,
     gamma_criterion,
@@ -390,6 +393,177 @@ def test_update_nan_aborts_without_touching_params():
     assert out["nan_aborted"]
     for p, s in zip(model.params(), snapshot):
         assert np.array_equal(p, s, equal_nan=True)
+
+
+# ------------------------------------------------------- floored trajectories
+
+def every_row_update(model, expert, nominal, lam, opt, kl_weight=1.0):
+    """constraint_update assembled with cvar_grad_arr on every row, floored
+    trajectories included: the reference the floor skip must match bit for bit."""
+    omegas = importance_weights(model, nominal,
+                                gamma_criterion(model, nominal, RiskLevel(1.0)))
+    sides = [(1.0, len(expert), t) for t in expert]
+    sides += [(-float(om), len(nominal), t) for om, t in zip(omegas, nominal)]
+    x = np.concatenate([np.concatenate([t.states, t.actions], axis=1)
+                        for _, _, t in sides])
+    raw = model.net.forward(x)
+    alphas = model.head.alphas(raw)
+    cv, dc1, dc2 = cvar_grad_arr(alphas[:, 0], alphas[:, 1], lam.lam)
+    kl, dk1, dk2 = _kl_grads(alphas, PRIOR)
+    dalpha = np.zeros_like(alphas)
+    loss_e = loss_n = 0.0
+    floored = hi = 0
+    for w, n, t in sides:
+        lo, hi, w = hi, hi + len(t), w / n
+        log_g, row_g = _log_gamma_row_grads(cv[lo:hi])
+        floored += log_g == LOG_FLOOR
+        dalpha[lo:hi, 0] += w * row_g * dc1[lo:hi]
+        dalpha[lo:hi, 1] += w * row_g * dc2[lo:hi]
+        if w > 0:
+            loss_e += w * log_g
+        else:
+            loss_n += -w * log_g
+    dalpha[:, 0] -= kl_weight * dk1 / len(x)
+    dalpha[:, 1] -= kl_weight * dk2 / len(x)
+    grads = model.net.backward(model.head.backward(raw, dalpha))
+    gnorm = math.sqrt(sum(float((g * g).sum()) for g in grads))
+    opt.step(model.net.params(), [-g for g in grads])
+    return {"nan_aborted": False, "loss_expert": loss_e, "loss_nominal": loss_n,
+            "kl": float(kl.mean()), "grad_norm": gnorm, "omegas": list(omegas),
+            "floored": floored}
+
+
+def mixed_batches(rng, long=(400, 450), short=(4, 4)):
+    # a fresh model's per-step mean is about 0.55, so a 400-step trajectory
+    # sits far below the floor and a 4-step one far above it
+    expert = [random_traj(rng, length=n) for n in (long[0], short[0], long[1])]
+    nominal = [random_traj(rng, length=n) for n in (short[1], long[0], 6)]
+    return expert, nominal
+
+
+def is_long(t):
+    return len(t) >= 400
+
+
+class Stop(Exception):
+    pass
+
+
+def spy_cvar_grad(monkeypatch, stop=False):
+    """Record the alpha rows constraint_update hands to cvar_grad_arr; with
+    stop, raise Stop once they are recorded."""
+    seen = []
+
+    def spy(a, b, lam):
+        seen.append(np.stack([a, b], axis=1))
+        if stop:
+            raise Stop
+        return cvar_grad_arr(a, b, lam)
+
+    monkeypatch.setattr("dial.constraint.cvar_grad_arr", spy)
+    return seen
+
+
+def update_alphas(model, expert, nominal):
+    x = np.concatenate([np.concatenate([t.states, t.actions], axis=1)
+                        for t in expert + nominal])
+    return model.head.alphas(model.net.forward(x))
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.7, 1.0])
+def test_floor_skip_matches_every_row_reference(lam):
+    rng = np.random.default_rng(60)
+    expert, nominal = mixed_batches(rng)
+    model, ref_model = make_model(seed=12), make_model(seed=12)
+    for _ in range(3):
+        out = update(model, expert, nominal, RiskLevel(lam))
+        ref = every_row_update(ref_model, expert, nominal, RiskLevel(lam), Sgd(1e-2))
+        assert out.keys() == ref.keys()
+        for key in ref:
+            assert np.asarray(out[key]).tobytes() == np.asarray(ref[key]).tobytes(), key
+        assert 0 < ref["floored"] < len(expert) + len(nominal)
+        for p, q in zip(model.params(), ref_model.params()):
+            assert p.tobytes() == q.tobytes()
+
+
+def test_floor_skip_solves_only_unfloored_rows(monkeypatch):
+    rng = np.random.default_rng(61)
+    expert, nominal = mixed_batches(rng)
+    model = make_model(seed=13)
+    alphas = update_alphas(model, expert, nominal)
+    keep = np.repeat([not is_long(t) for t in expert + nominal],
+                     [len(t) for t in expert + nominal])
+    seen = spy_cvar_grad(monkeypatch)
+    out = update(model, expert, nominal, RiskLevel(0.5))
+    assert len(seen) == 1 and np.array_equal(seen[0], alphas[keep])
+    assert out["floored"] == sum(map(is_long, expert + nominal))
+    # an all-floored batch solves nothing, yet the KL term still moves it
+    seen.clear()
+    before = flat_params(model).copy()
+    out = update(model, expert[::2], nominal[1:2], RiskLevel(0.5))
+    assert seen == [] and out["floored"] == 3
+    assert not out["nan_aborted"] and not np.array_equal(flat_params(model), before)
+
+
+def test_floored_count_matches_hand_count():
+    rng = np.random.default_rng(62)
+    expert, nominal = mixed_batches(rng, long=(400, 120), short=(4, 30))
+    model = make_model(seed=14)
+    lam = RiskLevel(0.4)
+    gammas = [gamma_criterion(model, [t], lam)[0] for t in expert + nominal]
+    hand = sum(g == math.exp(LOG_FLOOR) for g in gammas)
+    assert 0 < hand < len(gammas)
+    assert update(model, expert, nominal, lam)["floored"] == hand
+
+
+def test_floored_reported_zero_without_per_step_rows():
+    rng = np.random.default_rng(63)
+    batch = [random_traj(rng, length=500)]
+    model = ConstraintModel(3, 2, mode="threshold-inference", n_features=4)
+    assert update(model, batch, batch, RiskLevel(0.5))["floored"] == 0
+    model = make_model(hidden=8)
+    model.net.biases[0][0] = np.nan
+    out = constraint_update(model, batch, batch, RiskLevel(0.5), kl_weight=1.0,
+                            prior=PRIOR, prev_gamma=np.ones(1), opt=Sgd(1e-2))
+    assert out["nan_aborted"] and out["floored"] == 0
+
+
+def test_bound_inside_margin_takes_exact_path(monkeypatch):
+    # 100 equal rows whose summed log means lie just under the floor, by
+    # less than the margin that covers np.log's rounding
+    length = 100
+    mean = math.exp((LOG_FLOOR - 0.5 * FLOOR_MARGIN) / length)
+    model = constant_alpha_model(mean / (1.0 - mean), 1.0)
+    rng = np.random.default_rng(64)
+    expert, nominal = [random_traj(rng, length=length)], [random_traj(rng, length=4)]
+    alphas = update_alphas(model, expert, nominal)
+    bound = np.log(alphas[:length, 0] / alphas[:length].sum(axis=1)).sum()
+    assert LOG_FLOOR - FLOOR_MARGIN < bound <= LOG_FLOOR
+    seen = spy_cvar_grad(monkeypatch)
+    out = update(model, expert, nominal, RiskLevel(0.5))
+    assert len(seen) == 1 and np.array_equal(seen[0], alphas)
+    assert out["floored"] == 1
+
+
+def test_nan_bound_takes_exact_path(monkeypatch):
+    # one NaN row in a trajectory that would otherwise floor at its means
+    rng = np.random.default_rng(65)
+    expert, nominal = [random_traj(rng, length=400)], [random_traj(rng, length=4)]
+    expert[0].states[7] = 99.0
+    model = make_model(seed=15)
+    forward = model.net.forward
+
+    def poisoned(x):
+        raw = forward(x)
+        raw[x[:, 0] == 99.0] = np.nan
+        return raw
+
+    monkeypatch.setattr(model.net, "forward", poisoned)
+    seen = spy_cvar_grad(monkeypatch, stop=True)
+    with pytest.raises(Stop):
+        update(model, expert, nominal, RiskLevel(0.5))
+    assert len(seen) == 1 and len(seen[0]) == 404
+    assert np.isnan(seen[0]).any(axis=1).tolist() == [i == 7 for i in range(404)]
 
 
 def test_update_rejects_empty_batches():

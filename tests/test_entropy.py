@@ -203,6 +203,56 @@ class TestBlockSearch:
         assert np.array_equal(graph.neighbors, nbr)
         assert np.array_equal(graph.kth_dist, kth)
 
+    @staticmethod
+    def counted_search(monkeypatch):
+        calls = []
+        search = entropy._knn_search
+
+        def counted(x, k):
+            calls.append(len(x))
+            return search(x, k)
+
+        monkeypatch.setattr(entropy, "_knn_search", counted)
+        return calls
+
+    def test_forced_jitter_searches_once(self, monkeypatch):
+        # one point with k + 1 copies: the reference searches, finds a zero
+        # k-th distance, jitters and searches again; the graph jitters first
+        rng = np.random.default_rng(44)
+        k = 4
+        x = np.concatenate([rng.normal(size=(60, 2)), np.repeat([[0.3, -0.2]], k + 1, axis=0)])
+        x = x[rng.permutation(len(x))]
+        first = entropy._knn_search(x, k)[1]
+        assert (first == 0.0).any()
+        span = x.max(axis=0) - x.min(axis=0)
+        noise = np.random.default_rng(entropy._JITTER_SEED).standard_normal(x.shape)
+        ref_nbr, ref_kth = entropy._knn_search(x + noise * (entropy._JITTER_SCALE * span), k)
+        ref_log_vol = math.log(knn_volume(1.0, 2)) + 2 * np.log(ref_kth)
+        calls = self.counted_search(monkeypatch)
+        graph = KnnGraph(ParticleSet(x), k)
+        assert calls == [len(x)]
+        assert graph.neighbors.tobytes() == ref_nbr.tobytes()
+        assert graph.kth_dist.tobytes() == ref_kth.tobytes()
+        assert graph.log_vol.tobytes() == ref_log_vol.tobytes()
+
+    def test_k_copies_search_unjittered(self, monkeypatch):
+        # k copies of a point leave its k-th neighbor at a positive distance
+        rng = np.random.default_rng(45)
+        x = np.concatenate([rng.normal(size=(30, 2)), np.repeat([[0.1, 0.1]], 3, axis=0)])
+        calls = self.counted_search(monkeypatch)
+        graph = KnnGraph(ParticleSet(x), 3)
+        assert calls == [len(x)]
+        assert np.array_equal(graph.kth_dist, full_matrix_knn(x, 3)[1])
+
+    def test_underflowing_distance_jitters_after_search(self, monkeypatch):
+        # distinct points whose squared distance underflows to zero
+        rng = np.random.default_rng(46)
+        x = np.concatenate([[[0.0, 0.0], [1e-170, 0.0]], rng.normal(size=(20, 2))])
+        calls = self.counted_search(monkeypatch)
+        graph = KnnGraph(ParticleSet(x), 1)
+        assert calls == [len(x), len(x)]
+        assert (graph.kth_dist > 0.0).all()
+
     def test_memory_is_one_block(self):
         x = np.random.default_rng(43).normal(size=(2048, 2))
         tracemalloc.start()

@@ -705,10 +705,19 @@ class TestSafeIl:
                    for rec in res["records"])
         # every one of an iteration's two constraint steps reports an abort
         monkeypatch.setattr("dial.trainer.constraint_update",
-                            lambda *args, **kw: {"nan_aborted": True})
+                            lambda *args, **kw: {"nan_aborted": True, "floored": 0})
         _, res = self._run(tmp_path, seed=1)
         assert [rec["constraint_aborts"] for rec in res["records"]] == [2] * len(res["records"])
         assert all(rec["constraint_aborts"] == 2 for rec in read_metrics(res["metrics"]))
+
+    def test_constraint_floored_summed_per_iteration(self, tmp_path, monkeypatch):
+        _, res = self._run(tmp_path)
+        assert all(type(rec["constraint_floored"]) is int for rec in res["records"])
+        # each of an iteration's two constraint steps reports 3 floored
+        monkeypatch.setattr("dial.trainer.constraint_update",
+                            lambda *args, **kw: {"nan_aborted": False, "floored": 3})
+        _, res = self._run(tmp_path, seed=1)
+        assert all(rec["constraint_floored"] == 6 for rec in read_metrics(res["metrics"]))
 
     def test_policy_aborts_logged(self, tmp_path, monkeypatch):
         _, res = self._run(tmp_path)
