@@ -145,22 +145,38 @@ def _threshold_terms(model: ConstraintModel, tau: Trajectory) -> np.ndarray:
     return np.maximum(1.0 - np.maximum(0.0, rates - model.thresholds), 1e-12)
 
 
+def _floor_keep(alphas: np.ndarray, lens: list):
+    """Row means, and the mask of rows whose CVaR can move log gamma.
+
+    A CVaR never exceeds its mean, so a trajectory whose summed log means is
+    at most LOG_FLOOR - FLOOR_MARGIN sits at LOG_FLOOR: its rows are masked
+    out.  A bound that is not a number keeps its rows.
+    """
+    means = beta_mean_arr(alphas[:, 0], alphas[:, 1])
+    bounds = np.array([np.log(np.maximum(c, 1e-300)).sum()
+                       for c in np.split(means, np.cumsum(lens)[:-1])])
+    return means, np.repeat(~(bounds <= LOG_FLOOR - FLOOR_MARGIN), lens)
+
+
 def gamma_criterion(model: ConstraintModel, taus: list, lam: RiskLevel) -> np.ndarray:
     """Feasibility criterion gamma of each trajectory at risk level lam.
 
     Per-step mode runs the network on each trajectory's rows alone, since
     BLAS rounds a row differently depending on how many rows share the
-    call, then takes every row's CVaR in one cvar_arr call, whose rows never
-    mix.  A trajectory's gamma is the product of its own rows' CVaRs,
-    floored in log space at LOG_FLOOR, and has the same bits in any batch.
-    The expected risk gamma_bar is 1 - gamma.
+    call.  Only the rows _floor_keep keeps go to cvar_arr, in one call whose
+    rows never mix; the others keep their means and solve no quantile.  A
+    trajectory's gamma is the product of its own rows' CVaRs, floored in log
+    space at LOG_FLOOR, with the same bits in any batch.  gamma_bar = 1 - gamma.
     """
     if model.mode == THRESHOLD:
         return np.array([math.exp(max(float(np.log(_threshold_terms(model, t)).sum()),
                                       LOG_FLOOR)) for t in taus])
     alphas = np.concatenate([model.step_alphas(t.states, t.actions) for t in taus])
-    cv = cvar_arr(alphas[:, 0], alphas[:, 1], lam.lam)
-    ends = np.cumsum([len(t) for t in taus])[:-1]
+    lens = [len(t) for t in taus]
+    cv, keep = _floor_keep(alphas, lens)
+    if keep.any():
+        cv[keep] = cvar_arr(alphas[keep, 0], alphas[keep, 1], lam.lam)
+    ends = np.cumsum(lens)[:-1]
     return np.array([min(math.exp(max(float(np.log(np.maximum(c, 1e-300)).sum()),
                                       LOG_FLOOR)), 1.0) for c in np.split(cv, ends)])
 
@@ -248,13 +264,11 @@ def constraint_update(model: ConstraintModel, expert_batch: list, nominal_batch:
     under the model they were collected against, from which the importance
     weights omega follow.
 
-    A row's CVaR never exceeds its Beta mean, so a trajectory whose summed
-    log means is at most LOG_FLOOR - FLOOR_MARGIN is floored and its rows
-    get zero gradient: those rows keep their means as CVaRs with zero
-    partials, and only the other rows go to cvar_grad_arr, each with the
-    bits it gets in any batch.  A skipped row's quantile is never solved,
-    so it cannot raise; every computed row still raises on a failed solve.
-    A bound that is not a number takes the exact path.  The report counts
+    A trajectory that floors at its means (_floor_keep) gets zero gradient:
+    its rows keep their means as CVaRs with zero partials, and only the
+    other rows go to cvar_grad_arr, each with the bits it gets in any
+    batch.  A skipped row's quantile is never solved, so it cannot raise;
+    every computed row still raises on a failed solve.  The report counts
     the trajectories whose log gamma sits at LOG_FLOOR as floored.
     """
     if not expert_batch or not nominal_batch:
@@ -275,12 +289,8 @@ def constraint_update(model: ConstraintModel, expert_batch: list, nominal_batch:
                         for _, _, tau in sides])
     raw = model.net.forward(x)
     alphas = model.head.alphas(raw)
-    cv = beta_mean_arr(alphas[:, 0], alphas[:, 1])
+    cv, keep = _floor_keep(alphas, [len(tau) for _, _, tau in sides])
     dc1, dc2 = np.zeros(len(x)), np.zeros(len(x))
-    lens = [len(tau) for _, _, tau in sides]
-    bounds = np.array([np.log(np.maximum(c, 1e-300)).sum()
-                       for c in np.split(cv, np.cumsum(lens)[:-1])])
-    keep = np.repeat(~(bounds <= LOG_FLOOR - FLOOR_MARGIN), lens)
     if keep.any():
         cv[keep], dc1[keep], dc2[keep] = cvar_grad_arr(alphas[keep, 0], alphas[keep, 1],
                                                        lam.lam)

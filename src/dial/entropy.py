@@ -87,6 +87,10 @@ def _knn_block(x: np.ndarray, s: int, e: int, k: int, width: int):
     part = np.argpartition(d2, width - 1, axis=1)[:, :width]
     order = np.lexsort((part, np.take_along_axis(d2, part, axis=1)), axis=1)
     cand = np.take_along_axis(part, order, axis=1)
+    # a k-th distance tie that reaches the last candidate may go past it
+    edge = np.take_along_axis(d2, cand[:, [k - 1, width - 1]], axis=1)
+    for r in np.flatnonzero(edge[:, 0] == edge[:, 1]):
+        cand[r, :k] = np.argsort(d2[r], kind="stable")[:k]
     kth = np.sqrt(np.take_along_axis(d2, cand[:, k - 1 : k], axis=1)[:, 0])
     return cand[:, :k], kth
 
@@ -95,8 +99,8 @@ def _knn_search(x: np.ndarray, k: int):
     """Indices of the k nearest neighbors of each point (self excluded).
 
     Returns (neighbor_idx int[M][k], kth_dist float[M]).  The k + 8 nearest
-    candidates of a row are ordered by (distance, index); a tie at the k-th
-    distance wider than that keeps the members the partition picked.
+    candidates of a row are ordered by (distance, index); a row whose tie at
+    the k-th distance may reach past them is ordered over all M points.
     Squared distances are summed coordinate by coordinate, _BLOCK rows at a
     time: exactly translation invariant, unlike the matmul expansion of the
     same quantity, and never more than one block of distances in memory.

@@ -117,13 +117,13 @@ def gae_advantages(rewards: np.ndarray, values: np.ndarray, gamma: float,
     """Per-trajectory advantages and value targets; terminal value is zero."""
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
-    adv = np.zeros_like(rewards)
-    last = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        v_next = values[t + 1] if t + 1 < len(values) else 0.0
-        delta = rewards[t] + gamma * v_next - values[t]
-        last = delta + gamma * lam * last
-        adv[t] = last
+    deltas = rewards + gamma * np.append(values[1:], 0.0) - values
+    # the backward recurrence runs over Python floats: the same bits, faster
+    last, gl, rev = 0.0, gamma * lam, []
+    for d in reversed(deltas.tolist()):
+        last = d + gl * last
+        rev.append(last)
+    adv = np.array(rev[::-1], dtype=float)
     return adv, adv + values
 
 

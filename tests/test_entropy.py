@@ -186,6 +186,13 @@ class TestBlockSearch:
         x = x[np.random.default_rng(len(shape)).permutation(len(x))]
         self.check(x, 5, bitwise=True)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_ties_wider_than_the_candidates(self, dim):
+        # 600 points on 9 values per coordinate: a row's tie at the k-th
+        # distance often holds more points than the k + 8 candidates kept
+        x = np.random.default_rng(70 + dim).integers(0, 9, size=(600, dim)) * 1.0
+        self.check(x, 5, bitwise=True)
+
     def test_sort_branch(self):
         # m - 1 <= k + 8 keeps every other point as a candidate: the
         # partition drops only self, the one inf in its row

@@ -117,6 +117,31 @@ def test_gae_hand_computed():
     assert np.allclose(ret, adv + values)
 
 
+def loop_gae(rewards, values, gamma, lam):
+    """The original per-step loop, kept as the bitwise reference."""
+    adv = np.zeros_like(rewards)
+    last = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        v_next = values[t + 1] if t + 1 < len(values) else 0.0
+        delta = rewards[t] + gamma * v_next - values[t]
+        last = delta + gamma * lam * last
+        adv[t] = last
+    return adv, adv + values
+
+
+def test_gae_matches_loop_bitwise():
+    rng = np.random.default_rng(8)
+    for n in [1, 2, 3, 400, 1200, *rng.integers(1, 1201, size=40)]:
+        scale = 10.0 ** rng.uniform(-3, 3, size=2)
+        rewards = rng.normal(size=n) * scale[0]
+        values = rng.normal(size=n) * scale[1]
+        for gamma, lam in [(0.99, 0.95), (0.9, 1.0), (0.5, 0.3)]:
+            got = gae_advantages(rewards, values, gamma, lam)
+            ref = loop_gae(rewards, values, gamma, lam)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+
+
 def test_gae_reduces_to_discounted_return():
     rng = np.random.default_rng(6)
     rewards = rng.normal(size=7)

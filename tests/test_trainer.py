@@ -6,7 +6,9 @@ and reproducibility rather than task performance.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -907,6 +909,75 @@ class TestRecipes:
         first = run("a")
         if env_name == "intersection":
             assert run("b") == first
+
+
+@pytest.mark.parametrize("env_name", ["basic_nav", "mountain_car"])
+def test_floor_skip_keeps_stage_bytes(monkeypatch, tmp_path, env_name):
+    """Safe-il and safe-tl write the same bytes whether the criterion and the
+    update skip the CVaR solves of floored trajectories or solve every row.
+    TestRecipes' stage sizes, with 40-step demonstrations, which never floor,
+    and 130-step rollouts, which floor in part: some updates mix both."""
+    from dial import constraint
+    data = write_certified_dataset(tmp_path, make_env(env_name, {"horizon": 40}),
+                                   np.random.default_rng(99))
+    ec = {"horizon": 130}
+    floor_keep = constraint._floor_keep
+    mixes = []
+
+    def counted(alphas, lens):
+        means, keep = floor_keep(alphas, lens)
+        mixes.append((bool(keep.all()), bool(keep.any())))
+        return means, keep
+
+    def every_row(alphas, lens):
+        means, keep = floor_keep(alphas, lens)
+        return means, np.ones_like(keep)
+
+    def run(tag, keep_rule):
+        monkeypatch.setattr(constraint, "_floor_keep", keep_rule)
+        il_cfg = TrainConfig.for_env(env_name, "safe-il", seed=3, env_steps=300,
+                                     n_rollouts=2, constraint_steps=2,
+                                     env_config=ec, **CEM_SMALL)
+        il = safe_il(il_cfg, data, tmp_path / tag / "il")
+        tl_cfg = TrainConfig.for_env(env_name, "safe-tl", seed=4, env_steps=300,
+                                     n_rollouts=2, env_config=ec, **CEM_SMALL)
+        tl = safe_tl(tl_cfg, il["constraint"], il["policy"], tmp_path / tag / "tl")
+        return [hash_file(p) for p in (il["constraint"], il["policy"], il["metrics"],
+                                       tl["policy"], tl["metrics"])]
+
+    shipped = run("shipped", counted)
+    # calls that skip every row, and calls that skip some rows and solve others
+    assert (False, False) in mixes and (False, True) in mixes
+    assert run("every-row", every_row) == shipped
+
+
+def test_benchmark_tracer_round_trips():
+    """perfbench/run.py --trace 1 installs spans.Tracer around each traced
+    round and uninstalls it after: every span it reports must find its
+    function, and every patched name must come back as it was.  run.py also
+    logs trainer.dial_threads()."""
+    from dial import trainer
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    mods = [m for n, m in sys.modules.items()
+            if m is not None and (n == "dial" or n.startswith("dial."))]
+    owners = mods + [c for m in mods for c in vars(m).values()
+                     if isinstance(c, type) and c.__module__.startswith("dial")]
+    before = {id(o): (o, dict(vars(o))) for o in owners}
+    tracer = spans.Tracer(0)
+    try:
+        tracer.install()
+        assert {span for _, span, _ in spans.SPAN_METRICS} <= set(tracer.names)
+        assert trainer.gamma_criterion is not before[id(trainer)][1]["gamma_criterion"]
+    finally:
+        tracer.uninstall()
+    for owner, attrs in before.values():
+        now = vars(owner)
+        assert now.keys() == attrs.keys(), owner
+        assert all(now[k] is v for k, v in attrs.items()), owner
+    assert callable(trainer.dial_threads)
 
 
 def test_benchmark_hooks_resolve(monkeypatch, tmp_path):
