@@ -186,52 +186,61 @@ _CF_EPS = 1e-15
 _CF_MAX_ITER = 300
 
 
+def _guard(v):
+    # np.where(np.abs(v) < _TINY, _TINY, v), one scan where none is tiny;
+    # fmin skips NaN, so a NaN row cannot hide another row's tiny value
+    return np.where(np.abs(v) < _TINY, _TINY, v) if np.fmin.reduce(np.abs(v)) < _TINY else v
+
+
 def _betacf(a, b, x):
     """Continued fraction for I_x(a, b); caller guarantees the convergent region.
 
-    A row's convergent stops changing once its own last factor is within
-    _CF_EPS of 1, however long the other rows of the call still iterate, so
-    each row's result is the same bits in any batch.
+    A row's convergent is final once its own last factor is within _CF_EPS
+    of 1; only rows not yet final are iterated, so each row's result is the
+    same bits in any batch.
     """
+    out = np.empty_like(x)
+    rows = np.arange(len(x))
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < _TINY, _TINY, d)
-    d = 1.0 / d
+    d = 1.0 / _guard(1.0 - qab * x / qap)
     h = d.copy()
-    done = np.zeros(x.shape, dtype=bool)
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        am2 = a + m2
+        aa = m * (b - m) * x / ((qam + m2) * am2)
         d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
+        d = _guard(d)
         c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
+        c = _guard(c)
         d = 1.0 / d
-        h = np.where(done, h, h * d * c)
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        h = h * d * c
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
         d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
+        d = _guard(d)
         c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
+        c = _guard(c)
         d = 1.0 / d
         delta = d * c
-        h = np.where(done, h, h * delta)
-        done |= np.abs(delta - 1.0) < _CF_EPS
-        if done.all():
-            break
-    if not done.all():
-        worst = int(np.argmin(done))
-        raise RuntimeError(
-            "incomplete beta continued fraction failed to converge "
-            f"(a={a.ravel()[worst]}, b={b.ravel()[worst]}, x={x.ravel()[worst]})")
-    return h
+        h = h * delta
+        done = np.abs(delta - 1.0) < _CF_EPS
+        if done.any():
+            out[rows[done]] = h[done]
+            go = ~done
+            if not go.any():
+                return out
+            a, b, x, qab, qap, qam, c, d, h, rows = (
+                v[go] for v in (a, b, x, qab, qap, qam, c, d, h, rows))
+    raise RuntimeError(
+        "incomplete beta continued fraction failed to converge "
+        f"(a={a[0]}, b={b[0]}, x={x[0]})")
 
 
-def betainc_arr(a, b, x) -> np.ndarray:
-    """Elementwise regularized incomplete beta I_x(a, b)."""
+def betainc_arr(a, b, x, log_b=None) -> np.ndarray:
+    """Elementwise regularized incomplete beta I_x(a, b); log_b, ln B(a, b)
+    broadcast like the rest, spares recomputing it for the same shapes."""
     a, b, x = np.broadcast_arrays(
         np.asarray(a, float), np.asarray(b, float), np.asarray(x, float))
     shape = x.shape
@@ -242,19 +251,16 @@ def betainc_arr(a, b, x) -> np.ndarray:
     mid = (xf > 0.0) & (xf < 1.0)
     if mid.any():
         am, bm, xm = af[mid], bf[mid], xf[mid]
-        res = np.empty_like(xm)
-        direct = xm < (am + 1.0) / (am + bm + 2.0)
-        if direct.any():
-            aa, bb, xx = am[direct], bm[direct], xm[direct]
-            front = np.exp(aa * np.log(xx) + bb * np.log1p(-xx) - _log_beta_arr(aa, bb))
-            res[direct] = front * _betacf(aa, bb, xx) / aa
-        flip = ~direct
-        if flip.any():
-            # symmetry I_x(a, b) = 1 - I_{1-x}(b, a)
-            aa, bb, xx = bm[flip], am[flip], 1.0 - xm[flip]
-            front = np.exp(aa * np.log(xx) + bb * np.log1p(-xx) - _log_beta_arr(aa, bb))
-            res[flip] = 1.0 - front * _betacf(aa, bb, xx) / aa
-        out[mid] = res
+        # symmetry I_x(a, b) = 1 - I_{1-x}(b, a) where the fraction converges
+        # slowly; ln B is symmetric bit for bit, so flipped rows share it
+        flip = ~(xm < (am + 1.0) / (am + bm + 2.0))
+        lb = (_log_beta_arr(am, bm) if log_b is None
+              else np.broadcast_to(log_b, shape).ravel()[mid])
+        aa, bb = np.where(flip, bm, am), np.where(flip, am, bm)
+        xx = np.where(flip, 1.0 - xm, xm)
+        front = np.exp(aa * np.log(xx) + bb * np.log1p(-xx) - lb)
+        part = front * _betacf(aa, bb, xx) / aa
+        out[mid] = np.where(flip, 1.0 - part, part)
     return np.clip(out.reshape(shape), 0.0, 1.0)
 
 
@@ -284,7 +290,7 @@ def _sigmoid(t):
     return np.where(t < 0.0, r, 1.0 - r)
 
 
-def _newton_quantile(a, b, lam, lo, hi):
+def _newton_quantile(a, b, lam, lo, hi, log_b):
     """Safeguarded Newton in logit space on rows whose root lies in [lo, hi].
 
     The slope of the cdf in t is x^a (1 - x)^b / B(a, b), taken from t itself
@@ -298,11 +304,10 @@ def _newton_quantile(a, b, lam, lo, hi):
     """
     out = np.empty_like(lam)
     rows = np.arange(len(lam))
-    log_b = _log_beta_arr(a, b)
     t = 0.5 * (lo + hi)
     step = hi - lo
     for _ in range(_NEWTON_MAX):
-        err = betainc_arr(a, b, _sigmoid(t)) - lam
+        err = betainc_arr(a, b, _sigmoid(t), log_b=log_b) - lam
         hi = np.where(err > 0.0, t, hi)
         lo = np.where(err < 0.0, t, lo)
         slope = np.exp(-a * softplus(-t) - b * softplus(t) - log_b)
@@ -354,14 +359,15 @@ def var_arr(a, b, lam) -> np.ndarray:
     solve = lf < 1.0
     if solve.any():
         aa, bb, ll = af[solve], bf[solve], lf[solve]
+        log_b = _log_beta_arr(aa, bb)
         lo = np.full_like(ll, -_LOGIT_SPAN)
         hi = np.full_like(ll, _LOGIT_SPAN)
         for _ in range(_BRACKET_STEPS):
             mid = 0.5 * (lo + hi)
-            above = betainc_arr(aa, bb, _sigmoid(mid)) >= ll
+            above = betainc_arr(aa, bb, _sigmoid(mid), log_b=log_b) >= ll
             hi = np.where(above, mid, hi)
             lo = np.where(above, lo, mid)
-        out[solve] = _newton_quantile(aa, bb, ll, lo, hi)
+        out[solve] = _newton_quantile(aa, bb, ll, lo, hi, log_b)
     return out.reshape(shape)
 
 

@@ -146,12 +146,9 @@ def _threshold_terms(model: ConstraintModel, tau: Trajectory) -> np.ndarray:
 
 
 def _floor_keep(alphas: np.ndarray, lens: list):
-    """Row means, and the mask of rows whose CVaR can move log gamma.
-
-    A CVaR never exceeds its mean, so a trajectory whose summed log means is
-    at most LOG_FLOOR - FLOOR_MARGIN sits at LOG_FLOOR: its rows are masked
-    out.  A bound that is not a number keeps its rows.
-    """
+    """Row means, and the mask of rows of trajectories whose summed log means
+    exceed LOG_FLOOR - FLOOR_MARGIN or are not a number: a CVaR never exceeds
+    its mean, so the others sit at LOG_FLOOR whatever their CVaRs are."""
     means = beta_mean_arr(alphas[:, 0], alphas[:, 1])
     bounds = np.array([np.log(np.maximum(c, 1e-300)).sum()
                        for c in np.split(means, np.cumsum(lens)[:-1])])
@@ -163,20 +160,17 @@ def gamma_criterion(model: ConstraintModel, taus: list, lam: RiskLevel) -> np.nd
 
     Per-step mode runs the network on each trajectory's rows alone, since
     BLAS rounds a row differently depending on how many rows share the
-    call.  Only the rows _floor_keep keeps go to cvar_arr, in one call whose
-    rows never mix; the others keep their means and solve no quantile.  A
-    trajectory's gamma is the product of its own rows' CVaRs, floored in log
-    space at LOG_FLOOR, with the same bits in any batch.  gamma_bar = 1 - gamma.
+    call, then takes every row's CVaR in one cvar_arr call, whose rows never
+    mix.  A trajectory's gamma is the product of its own rows' CVaRs,
+    floored in log space at LOG_FLOOR, and has the same bits in any batch.
+    The expected risk gamma_bar is 1 - gamma.
     """
     if model.mode == THRESHOLD:
         return np.array([math.exp(max(float(np.log(_threshold_terms(model, t)).sum()),
                                       LOG_FLOOR)) for t in taus])
     alphas = np.concatenate([model.step_alphas(t.states, t.actions) for t in taus])
-    lens = [len(t) for t in taus]
-    cv, keep = _floor_keep(alphas, lens)
-    if keep.any():
-        cv[keep] = cvar_arr(alphas[keep, 0], alphas[keep, 1], lam.lam)
-    ends = np.cumsum(lens)[:-1]
+    cv = cvar_arr(alphas[:, 0], alphas[:, 1], lam.lam)
+    ends = np.cumsum([len(t) for t in taus])[:-1]
     return np.array([min(math.exp(max(float(np.log(np.maximum(c, 1e-300)).sum()),
                                       LOG_FLOOR)), 1.0) for c in np.split(cv, ends)])
 

@@ -213,6 +213,113 @@ class TestCdf:
         assert np.array_equal(whole, singles)
 
 
+def loop_betainc(a, b, x, log_b=None):
+    """betainc_arr as a plain loop over the whole batch: every lane iterates
+    until the last converges, direct and flipped rows in separate fractions,
+    ln B recomputed per call and log_b ignored.  The reference for the bits."""
+    tiny, eps = 1e-300, 1e-15
+
+    def cf(a, b, x):
+        qab, qap, qam = a + b, a + 1.0, a - 1.0
+        c = np.ones_like(x)
+        d = 1.0 - qab * x / qap
+        d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
+        h = d.copy()
+        done = np.zeros(x.shape, dtype=bool)
+        for m in range(1, 301):
+            m2 = 2 * m
+            aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+            d = 1.0 + aa * d
+            d = np.where(np.abs(d) < tiny, tiny, d)
+            c = 1.0 + aa / c
+            c = np.where(np.abs(c) < tiny, tiny, c)
+            d = 1.0 / d
+            h = np.where(done, h, h * d * c)
+            aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+            d = 1.0 + aa * d
+            d = np.where(np.abs(d) < tiny, tiny, d)
+            c = 1.0 + aa / c
+            c = np.where(np.abs(c) < tiny, tiny, c)
+            d = 1.0 / d
+            delta = d * c
+            h = np.where(done, h, h * delta)
+            done |= np.abs(delta - 1.0) < eps
+            if done.all():
+                return h
+        raise RuntimeError("no convergence")
+
+    def lbeta(a, b):
+        return lgamma_arr(a) + lgamma_arr(b) - lgamma_arr(a + b)
+
+    a, b, x = np.broadcast_arrays(*(np.asarray(v, float) for v in (a, b, x)))
+    af, bf, xf = a.ravel(), b.ravel(), x.ravel()
+    out = np.empty_like(xf)
+    out[xf <= 0.0] = 0.0
+    out[xf >= 1.0] = 1.0
+    mid = (xf > 0.0) & (xf < 1.0)
+    am, bm, xm = af[mid], bf[mid], xf[mid]
+    res = np.empty_like(xm)
+    direct = xm < (am + 1.0) / (am + bm + 2.0)
+    for rows, flip in ((direct, False), (~direct, True)):
+        if rows.any():
+            aa, bb, xx = am[rows], bm[rows], xm[rows]
+            if flip:
+                aa, bb, xx = bb, aa, 1.0 - xx
+            front = np.exp(aa * np.log(xx) + bb * np.log1p(-xx) - lbeta(aa, bb))
+            part = front * cf(aa, bb, xx) / aa
+            res[rows] = 1.0 - part if flip else part
+    out[mid] = res
+    return np.clip(out.reshape(x.shape), 0.0, 1.0)
+
+
+def risk_sweep(rng, n):
+    """Shapes from 0.01 to 50 with risk levels in (0, 1], and the band of
+    small first shapes the constraint heads produce."""
+    a = np.exp(rng.uniform(np.log(0.01), np.log(50.0), n))
+    b = np.exp(rng.uniform(np.log(0.01), np.log(50.0), n))
+    a[: n // 2] = rng.uniform(0.01, 0.8, n // 2)
+    b[: n // 2] = rng.uniform(0.5, 4.5, n // 2)
+    lam = rng.uniform(0.01, 1.0, n)
+    lam[::17] = 1.0
+    return a, b, lam
+
+
+class TestFractionBits:
+    """betainc_arr iterates only unconverged lanes, shares one fraction
+    between direct and flipped rows and takes ln B from its caller; each is
+    exact, so every row keeps the plain loop's bits."""
+
+    def test_betainc_matches_loop(self):
+        rng = np.random.default_rng(41)
+        a, b, _ = risk_sweep(rng, 3000)
+        x = rng.uniform(0.0, 1.0, 3000)
+        x[::7] = (a[::7] + 1.0) / (a[::7] + b[::7] + 2.0)    # the flip threshold
+        x[1::7] = np.exp(rng.uniform(-700.0, -1.0, len(x[1::7])))
+        x[2::7] = -np.expm1(-np.exp(rng.uniform(-40.0, 0.0, len(x[2::7]))))
+        x[3::97], x[4::97] = 0.0, 1.0
+        want = loop_betainc(a, b, x)
+        assert betainc_arr(a, b, x).tobytes() == want.tobytes()
+        lb = lgamma_arr(a) + lgamma_arr(b) - lgamma_arr(a + b)
+        assert betainc_arr(a, b, x, log_b=lb).tobytes() == want.tobytes()
+        assert betainc_arr(b, a, 1.0 - x, log_b=lb).tobytes() == \
+            loop_betainc(b, a, 1.0 - x).tobytes()
+
+    def test_quantiles_and_cvars_match_loop(self, monkeypatch):
+        a, b, lam = risk_sweep(np.random.default_rng(43), 1200)
+        fast = [var_arr(a, b, lam), cvar_arr(a, b, lam), *cvar_grad_arr(a, b, lam)]
+        monkeypatch.setattr("dial.betarisk.betainc_arr", loop_betainc)
+        slow = [var_arr(a, b, lam), cvar_arr(a, b, lam), *cvar_grad_arr(a, b, lam)]
+        for got, want in zip(fast, slow):
+            assert got.tobytes() == want.tobytes()
+
+    def test_guard_sees_tiny_values_past_nan(self):
+        from dial.betarisk import _guard
+        v = np.array([np.nan, 2.0, -1e-310, 0.0, -3.0, 5e-301])
+        assert _guard(v).tobytes() == np.where(np.abs(v) < 1e-300, 1e-300, v).tobytes()
+        w = np.array([np.nan, 2.0, -3.0])
+        assert _guard(w) is w
+
+
 class TestQuantile:
     def test_uniform_identity(self):
         assert abs(var_lambda(BetaParams(1.0, 1.0), RiskLevel(0.3)) - 0.3) < 1e-10

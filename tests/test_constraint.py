@@ -566,96 +566,23 @@ def test_nan_bound_takes_exact_path(monkeypatch):
     assert np.isnan(seen[0]).any(axis=1).tolist() == [i == 7 for i in range(404)]
 
 
-def every_row_gamma(model, taus, lam):
-    """gamma_criterion with cvar_arr on every row, floored trajectories
-    included: the reference its floor skip must match bit for bit."""
-    alphas = np.concatenate([model.step_alphas(t.states, t.actions) for t in taus])
-    cv = cvar_arr(alphas[:, 0], alphas[:, 1], lam.lam)
-    ends = np.cumsum([len(t) for t in taus])[:-1]
-    return np.array([min(math.exp(max(float(np.log(np.maximum(c, 1e-300)).sum()),
-                                      LOG_FLOOR)), 1.0) for c in np.split(cv, ends)])
-
-
-def spy_cvar(monkeypatch, stop=False):
-    """Record the alpha rows gamma_criterion hands to cvar_arr; with stop,
-    raise Stop once they are recorded."""
-    seen = []
-
-    def spy(a, b, lam):
-        seen.append(np.stack([a, b], axis=1))
-        if stop:
-            raise Stop
-        return cvar_arr(a, b, lam)
-
-    monkeypatch.setattr("dial.constraint.cvar_arr", spy)
-    return seen
-
-
-def criterion_alphas(model, taus):
-    return np.concatenate([model.step_alphas(t.states, t.actions) for t in taus])
-
-
-@pytest.mark.parametrize("lam", [0.3, 0.7, 1.0])
-def test_gamma_floor_skip_matches_every_row_reference(lam):
-    rng = np.random.default_rng(66)
-    expert, nominal = mixed_batches(rng)
-    taus = expert + nominal
-    model = make_model(seed=16)
-    out = gamma_criterion(model, taus, RiskLevel(lam))
-    assert out.tobytes() == every_row_gamma(model, taus, RiskLevel(lam)).tobytes()
-    floored = out == math.exp(LOG_FLOOR)
-    assert floored.tolist() == [is_long(t) for t in taus]
-
-
-def test_gamma_solves_only_unfloored_rows(monkeypatch):
+def test_gamma_solves_every_row(monkeypatch):
+    # floored trajectories' rows reach cvar_arr too, in the one call
     rng = np.random.default_rng(67)
     expert, nominal = mixed_batches(rng)
     taus = expert + nominal
     model = make_model(seed=17)
-    keep = np.repeat([not is_long(t) for t in taus], [len(t) for t in taus])
-    seen = spy_cvar(monkeypatch)
-    gamma_criterion(model, taus, RiskLevel(0.5))
-    assert len(seen) == 1 and np.array_equal(seen[0], criterion_alphas(model, taus)[keep])
-    # an all-floored batch makes no call at all
-    seen.clear()
-    out = gamma_criterion(model, [t for t in taus if is_long(t)], RiskLevel(0.5))
-    assert seen == [] and np.all(out == math.exp(LOG_FLOOR))
+    seen = []
 
+    def spy(a, b, lam):
+        seen.append(np.stack([a, b], axis=1))
+        return cvar_arr(a, b, lam)
 
-def test_gamma_bound_inside_margin_takes_exact_path(monkeypatch):
-    # as in the update's test: summed log means just under the floor, by
-    # less than the margin
-    length = 100
-    mean = math.exp((LOG_FLOOR - 0.5 * FLOOR_MARGIN) / length)
-    model = constant_alpha_model(mean / (1.0 - mean), 1.0)
-    taus = [random_traj(np.random.default_rng(68), length=length)]
-    alphas = criterion_alphas(model, taus)
-    bound = np.log(alphas[:, 0] / alphas.sum(axis=1)).sum()
-    assert LOG_FLOOR - FLOOR_MARGIN < bound <= LOG_FLOOR
-    seen = spy_cvar(monkeypatch)
-    assert gamma_criterion(model, taus, RiskLevel(0.5))[0] == math.exp(LOG_FLOOR)
+    monkeypatch.setattr("dial.constraint.cvar_arr", spy)
+    out = gamma_criterion(model, taus, RiskLevel(0.5))
+    alphas = np.concatenate([model.step_alphas(t.states, t.actions) for t in taus])
     assert len(seen) == 1 and np.array_equal(seen[0], alphas)
-
-
-def test_gamma_nan_bound_takes_exact_path(monkeypatch):
-    # one NaN row in a trajectory that would otherwise floor at its means
-    rng = np.random.default_rng(69)
-    taus = [random_traj(rng, length=400), random_traj(rng, length=4)]
-    taus[0].states[7] = 99.0
-    model = make_model(seed=18)
-    forward = model.net.forward
-
-    def poisoned(x):
-        raw = forward(x)
-        raw[x[:, 0] == 99.0] = np.nan
-        return raw
-
-    monkeypatch.setattr(model.net, "forward", poisoned)
-    seen = spy_cvar(monkeypatch, stop=True)
-    with pytest.raises(Stop):
-        gamma_criterion(model, taus, RiskLevel(0.5))
-    assert len(seen) == 1 and len(seen[0]) == 404
-    assert np.isnan(seen[0]).any(axis=1).tolist() == [i == 7 for i in range(404)]
+    assert (out == math.exp(LOG_FLOOR)).tolist() == [is_long(t) for t in taus]
 
 
 def test_update_rejects_empty_batches():
