@@ -81,7 +81,8 @@ class BasicNav(Environment):
         toward its own row of goals, bit for bit; returns (next states,
         rewards, cost features (n, 1), goal flags)."""
         c = self.cfg
-        pos = np.clip(states + np.clip(actions, -1.0, 1.0) * c["dt"], 0.0, c["arena"])
+        a = np.minimum(np.maximum(actions, -1.0), 1.0)
+        pos = np.minimum(np.maximum(states + a * c["dt"], 0.0), c["arena"])
 
         def dist(p):
             d = p - goals

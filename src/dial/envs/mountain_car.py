@@ -81,19 +81,21 @@ class MountainCar(Environment):
         cost features (n, 1), goal flags). goals is unused: every episode
         here ends at goal_position, as in step()."""
         c = self.cfg
-        a = np.clip(np.asarray(actions, dtype=float).reshape(-1), -1.0, 1.0)
-        x, v = states[:, 0], states[:, 1]
-        v = v + c["force"] * a - c["gravity"] * np.cos(3.0 * x)
-        v = np.minimum(np.maximum(v, -c["max_speed"]), c["max_speed"])
-        x = x + v
+        a = np.minimum(np.maximum(np.asarray(actions, dtype=float).reshape(-1), -1.0), 1.0)
+        nxt = np.empty((len(states), 2))
+        x, v = nxt[:, 0], nxt[:, 1]
+        v[:] = states[:, 1] + c["force"] * a - c["gravity"] * np.cos(3.0 * states[:, 0])
+        np.minimum(np.maximum(v, -c["max_speed"], out=v), c["max_speed"], out=v)
+        # x < min_position <= max_position: the order of the two bounds is free
+        np.minimum(states[:, 0] + v, c["max_position"], out=x)
         wall = x < c["min_position"]
-        x = np.minimum(np.where(wall, c["min_position"], x), c["max_position"])
-        v = np.where(wall, 0.0, v)
+        x[wall] = c["min_position"]
+        v[wall] = 0.0
         goal = x >= c["goal_position"]
         reward = -c["action_penalty"] * a * a
-        reward = np.where(goal, reward + c["goal_reward"], reward)
+        reward[goal] += c["goal_reward"]
         cost = (x < c["red_line"]).astype(float)[:, None]
-        return np.stack([x, v], axis=1), reward, cost, goal
+        return nxt, reward, cost, goal
 
     def true_cost(self, state) -> np.ndarray:
         return np.array([1.0 if float(state[0]) < self.cfg["red_line"] else 0.0])

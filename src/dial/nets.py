@@ -83,6 +83,10 @@ class Mlp:
                 h = np.maximum(h, 0.0)
         return h[:, 0]
 
+    def release(self) -> None:
+        """Drop backward's cache: every activation of the last forward."""
+        self._cache = None
+
     def backward(self, dout: np.ndarray) -> list:
         """Gradients of sum(dout * out) w.r.t. params, in params() order."""
         if self._cache is None:

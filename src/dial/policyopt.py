@@ -83,8 +83,13 @@ class GaussianPolicy:
     def act_rows(self, obs: np.ndarray, rngs: list) -> np.ndarray:
         """act over observation rows, one generator per row: row i is bit
         for bit act(obs[i], rngs[i]) and draws from rngs[i] what it draws."""
+        return self.act_noise(obs, [rng.standard_normal(self.head.dim) for rng in rngs])
+
+    def act_noise(self, obs: np.ndarray, z) -> np.ndarray:
+        """act over observation rows from given standard-normal rows z:
+        row i is bit for bit act(obs[i], rng) where rng draws z[i]."""
         mu, sd = self.head.split(self.net.forward_rows(obs))
-        return mu + sd * np.array([rng.standard_normal(self.head.dim) for rng in rngs])
+        return mu + sd * np.asarray(z)
 
     def log_prob(self, obs: np.ndarray, a_raw: np.ndarray) -> np.ndarray:
         # leaves the net's forward cache on the full batch for backward use
@@ -286,7 +291,9 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
     r_base = returns.mean()
     risk_base = risk_bars.mean()
 
-    lp_old = policy.log_prob(obs, a_raw)
+    # inner step 0 runs at these parameters, so it reuses this forward
+    raw = policy.net.forward(obs)
+    lp_old = lp_new = policy.head.log_prob(raw, a_raw)
 
     # inverse neighbor scatter: dH/dw_j = -sum over balls containing j
     inv_idx = graph.neighbors.ravel()
@@ -294,9 +301,11 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
     dkls = []
     entropies = []
     steps = 0
+    aborted = False
     for inner in range(MAX_INNER):
-        raw = policy.net.forward(obs)
-        lp_new = policy.head.log_prob(raw, a_raw)
+        if inner > 0:
+            raw = policy.net.forward(obs)
+            lp_new = policy.head.log_prob(raw, a_raw)
         delta_m = np.zeros(n_traj)
         np.add.at(delta_m, traj_of_row, lp_new - lp_old)
         clipped = np.abs(delta_m) >= LOG_RATIO_CLIP
@@ -304,16 +313,16 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
         w = u[traj_of_particle]
         w = w / w.sum()
         ws = ImportanceWeightSet(w)
+        big = graph.neighbor_weight_sums(w)
 
         # the signed estimate drifts negative under pure entropy ascent, so
         # the region must bite on deviation in either direction
-        dkl = graph.kl_estimate(ws)
+        dkl = graph.kl_estimate(ws, big)
         if inner > 0 and abs(dkl) > tr.delta:
             break
         dkls.append(dkl)
-        entropies.append(graph.iw_entropy(ws))
+        entropies.append(graph.iw_entropy(ws, big))
 
-        big = graph.neighbor_weight_sums(w)
         term = np.zeros_like(big)
         pos = big > 0.0
         term[pos] = (np.log(big[pos]) - graph.log_vol[pos] + 1.0) / tr.k
@@ -334,12 +343,15 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
         dr = policy.head.log_prob_backward(raw, a_raw, coef[traj_of_row])
         grads = policy.net.backward(dr)
         if not all(np.all(np.isfinite(g_)) for g_ in grads):
-            return {"nan_aborted": True, "inner_steps": steps, "dkls": dkls,
-                    "entropies": entropies, "kappa_tilde": kappa_tilde}
+            aborted = True
+            break
         opt.step(policy.params(), [-g_ for g_ in grads])
         steps += 1
 
-    return {"nan_aborted": False, "inner_steps": steps, "dkls": dkls,
+    # drop the forward cache over every rollout row: lockstep rollouts do not
+    # overwrite it, so it would stay alive until the next update
+    policy.net.release()
+    return {"nan_aborted": aborted, "inner_steps": steps, "dkls": dkls,
             "entropies": entropies, "kappa_tilde": kappa_tilde,
             "expected_risk": float(risk_bars.mean())}
 

@@ -15,7 +15,10 @@ evaluate's SeedSequence([seed, episode]), which drew its task too, or
 expert-gen's child rng.spawn(n_experts)[i], which leaves the stage
 stream's draws as they were. Anything else runs one episode at a time on
 the stage stream, so an expert that draws nothing per step writes the same
-demonstrations on either path.
+demonstrations on either path. collect_rollouts keeps every episode on
+the one stage stream, and with step_batch and a Gaussian policy it still
+steps them in lockstep: it draws each episode's noise ahead and rewinds
+the stream where one ends early.
 """
 
 from __future__ import annotations
@@ -530,7 +533,10 @@ def run_episode(env, policy, task, rng) -> tuple:
 
     The env steps on the action act returns and the trajectory records the
     same action; for a Gaussian policy that is the unclipped sample, which
-    the env clips to its box itself.
+    the env clips to its box itself. The episode draws from rng only in
+    env.reset and in each step's act, in that order; a Gaussian policy's act
+    draws one standard_normal(dim) row. collect_rollouts' lockstep path
+    repeats exactly these draws.
     """
     s = env.reset(task, rng)
     states, actions, rewards, costs = [], [], [], []
@@ -553,16 +559,58 @@ def run_episode(env, policy, task, rng) -> tuple:
 def collect_rollouts(env, policy, n: int, rng, mode: str = "il",
                      budget_left: int | None = None):
     """Up to n episodes, stopping early once budget_left steps are recorded;
-    returns the trajectories, their goal flags and the step count."""
-    trajs, goals, steps = [], [], 0
-    for _ in range(n):
-        tau, goal = run_episode(env, policy, env.sample_task(rng, mode), rng)
-        trajs.append(tau)
-        goals.append(goal)
-        steps += len(tau)
-        if budget_left is not None and steps >= budget_left:
-            break
+    returns the trajectories, their goal flags and the step count.
+
+    Episodes draw from the one stream rng in turn, each its task and then
+    what run_episode draws. With env.step_batch and a policy with act_noise
+    they step together through run_episodes, with the same bits. Each
+    remaining episode is drawn ahead as if it ran to the horizon, its noise
+    one standard_normal((horizon, dim)) block: numpy fills that block as
+    horizon calls of standard_normal(dim) would, and leaves rng in their
+    state (a test pins this). Episodes are kept in order up to the first
+    that ends early or meets the budget. rng is then rewound to before that
+    one's draws, which are repeated for the steps it took, and the episodes
+    after it are drawn ahead again if still wanted.
+    """
+    lockstep = hasattr(env, "step_batch") and hasattr(policy, "act_noise")
+    trajs, goals, steps, over = [], [], 0, False
+    while len(trajs) < n and not over:
+        if lockstep:
+            marks, batch = _draw_ahead(env, policy, n - len(trajs), rng, mode)
+        else:
+            batch = [run_episode(env, policy, env.sample_task(rng, mode), rng)]
+        for i, (tau, goal) in enumerate(batch):
+            trajs.append(tau)
+            goals.append(goal)
+            steps += len(tau)
+            over = budget_left is not None and steps >= budget_left
+            if over or len(tau) < env.horizon:
+                if lockstep:
+                    rng.bit_generator.state = marks[i]
+                    _draw_episode(env, policy, rng, mode, len(tau))
+                break
     return trajs, goals, steps
+
+
+def _draw_episode(env, policy, rng, mode: str, steps: int) -> tuple:
+    """The task, start and action noise that a steps-long episode of a
+    Gaussian policy draws from rng."""
+    task = env.sample_task(rng, mode)
+    return task, env.reset(task, rng), rng.standard_normal((steps, policy.head.dim))
+
+
+def _draw_ahead(env, policy, k: int, rng, mode: str) -> tuple:
+    """k episodes drawn ahead to the horizon and run in lockstep; returns
+    the rng state saved before each one's draws, and its (Trajectory,
+    goal) pair."""
+    marks, draws = [], []
+    for _ in range(k):
+        marks.append(rng.bit_generator.state)
+        draws.append(_draw_episode(env, policy, rng, mode, env.horizon))
+    tasks, starts, noise = zip(*draws)
+    z = iter(np.stack(noise, axis=1))
+    return marks, _lockstep(env, tasks, starts, _goal_rows(tasks),
+                            lambda obs: policy.act_noise(obs, next(z)))
 
 
 def _episode_violates(env, tau: Trajectory) -> bool:
@@ -643,14 +691,24 @@ def run_tasks(env, jobs, policy_for) -> list:
     if not rows:
         return results
     tasks, starts, rngs = zip(*rows)
-    goals = (None if any(task.goal is None for task in tasks)
-             else np.array([task.goal for task in tasks], dtype=float))
+    goals = _goal_rows(tasks)
     policy = policy_for(goals)
-    *recs, lens, goal = run_episodes(
-        env, starts, lambda obs: policy.act_rows(obs, rngs), goals)
-    return results + [
-        (Trajectory(*(r[:n, i] for r in recs), task=task), bool(g))
-        for i, (n, g, task) in enumerate(zip(lens, goal, tasks))]
+    return results + _lockstep(env, tasks, starts, goals,
+                               lambda obs: policy.act_rows(obs, rngs))
+
+
+def _goal_rows(tasks) -> np.ndarray | None:
+    """One goal row per task, or None where a task has no goal."""
+    if any(task.goal is None for task in tasks):
+        return None
+    return np.array([task.goal for task in tasks], dtype=float)
+
+
+def _lockstep(env, tasks, starts, goals, act) -> list:
+    """run_episodes over one start per task, as (Trajectory, goal) pairs."""
+    *recs, lens, goal = run_episodes(env, starts, act, goals)
+    return [(Trajectory(*(r[:n, i] for r in recs), task=task), bool(g))
+            for i, (n, g, task) in enumerate(zip(lens, goal, tasks))]
 
 
 def evaluate(cfg: TrainConfig, policy) -> tuple:

@@ -327,6 +327,9 @@ def test_inner_loop_delta_zero_takes_exactly_one_step():
                               max_particles=2048)
     assert out["inner_steps"] == 1
     assert out["dkls"][0] < 1e-10
+    # the step releases its forward cache over every particle row
+    with pytest.raises(RuntimeError, match="before forward"):
+        pol.net.backward(np.zeros((1, 4)))
 
 
 def test_inner_loop_gates_on_divergence():

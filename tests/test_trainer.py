@@ -386,6 +386,91 @@ class TestLockstep:
                 assert got.tobytes() == arr.tobytes()
 
 
+def test_normal_block_is_its_rows_drawn_in_turn():
+    """collect_rollouts draws each episode's action noise as one
+    standard_normal((horizon, dim)) block; it keeps its bits only while
+    numpy fills the block with the values of, and leaves the generator where,
+    horizon calls of standard_normal(dim) do."""
+    for dim in (1, 2, 3):
+        for horizon in (1, 7, 400):
+            block_rng = np.random.default_rng([dim, horizon])
+            rows_rng = np.random.default_rng([dim, horizon])
+            block = block_rng.standard_normal((horizon, dim))
+            rows = np.array([rows_rng.standard_normal(dim) for _ in range(horizon)])
+            assert block.tobytes() == rows.tobytes()
+            assert block_rng.bit_generator.state == rows_rng.bit_generator.state
+
+
+class TestLockstepRollouts:
+    """collect_rollouts runs basic_nav and mountain_car episodes in lockstep
+    on the one shared stream. It must stay bit for bit the one-episode-at-a-
+    time loop below, the stream's state afterwards included, also when
+    episodes end early and when the budget stops a drawn-ahead batch."""
+
+    CFG = {"basic_nav": {"goal_radius": 8.0, "horizon": 50},
+           "mountain_car": {"goal_position": -0.38, "horizon": 50}}
+
+    @staticmethod
+    def serial(env, policy, n, rng, budget_left=None):
+        trajs, goals, steps = [], [], 0
+        for _ in range(n):
+            tau, goal = run_episode(env, policy, env.sample_task(rng, "il"), rng)
+            trajs.append(tau)
+            goals.append(goal)
+            steps += len(tau)
+            if budget_left is not None and steps >= budget_left:
+                break
+        return trajs, goals, steps
+
+    def check(self, env, policy, n, seed, budget=None) -> list:
+        """Asserts both loops agree from seed; returns the episode lengths."""
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, goals, steps = collect_rollouts(env, policy, n, got_rng, "il",
+                                             budget_left=budget)
+        want, want_goals, want_steps = self.serial(env, policy, n, want_rng, budget)
+        assert (goals, steps) == (want_goals, want_steps)
+        assert [len(t) for t in got] == [len(t) for t in want]
+        for a, b in zip(got, want):
+            assert a.task == b.task
+            for x, y in ((a.states, b.states), (a.actions, b.actions),
+                         (a.extrinsic_rewards, b.extrinsic_rewards),
+                         (a.cost_features, b.cost_features)):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        return [len(t) for t in got]
+
+    @pytest.mark.parametrize("env_name", sorted(CFG))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("budget", [None, 1, 51, 120])
+    def test_matches_serial_loop(self, env_name, n, budget):
+        env = make_env(env_name, self.CFG[env_name])
+        pol = TestLockstep._policy(env, 0.5)
+        lens = [k for seed in range(6) for k in self.check(env, pol, n, seed, budget)]
+        if n == 4 and budget is None:
+            assert min(lens) < env.horizon == max(lens)
+
+    def test_budget_stops_a_drawn_ahead_batch(self):
+        # both episodes run to the horizon, so all four stepped together
+        # and the budget, not an early end, cuts the batch after the second
+        env = make_env("basic_nav", self.CFG["basic_nav"])
+        pol = TestLockstep._policy(env, 0.5)
+        assert self.check(env, pol, 4, 0, budget=env.horizon + 1) == [env.horizon] * 2
+
+    @pytest.mark.parametrize("env_name", ["basic_nav", "cartpole"])
+    def test_only_envs_without_step_batch_step_serially(self, monkeypatch, env_name):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return run_episode(*args)
+
+        monkeypatch.setattr("dial.trainer.run_episode", counted)
+        env = make_env(env_name, self.CFG.get(env_name, ENV_SMALL[env_name]))
+        pol = TestLockstep._policy(env, 0.5)
+        self.check(env, pol, 3, 4)
+        assert len(calls) == (0 if env_name == "basic_nav" else 3)
+
+
 class TestDetourRows:
     """basic_nav's guidance laws step their demonstrations together:
     DetourPolicy.act_rows must be act row for row, on every branch."""
@@ -1002,7 +1087,8 @@ def test_benchmark_hooks_resolve(monkeypatch, tmp_path):
                                      kl_weight=1.0, prior=BetaParams(0.1, 0.9),
                                      prev_gamma=prev, opt=Sgd(1e-2))
         entropy.KnnGraph(entropy.ParticleSet(rng.normal(size=(12, 2))), 4)
-        env = make_env("basic_nav", NAV_SMALL)
+        # cartpole has no step_batch, so its rollouts still run run_episode
+        env = make_env("cartpole", ENV_SMALL["cartpole"])
         policy = GaussianPolicy(env.state_dim, env.action_low, env.action_high, 4, rng)
         trajs, _, steps = trainer.collect_rollouts(env, policy, 3, rng)
     finally:
@@ -1018,7 +1104,8 @@ def test_benchmark_hooks_resolve(monkeypatch, tmp_path):
     assert counts["trainer.run_episode"] == [len(t) for t in trajs]
     assert len(counts["envs.step"]) == steps == sum(len(t) for t in trajs)
     assert trainer.dial_threads() == 1
-    # lockstep evaluation runs no run_episode; the per-episode path still does
+    # lockstep evaluation and rollouts run no run_episode; the per-episode
+    # path still does
     for env_name, episodes in (("basic_nav", 3), ("cartpole", 2)):
         env = make_env(env_name, ENV_SMALL[env_name])
         policy = GaussianPolicy(env.state_dim, env.action_low, env.action_high, 4, rng)
@@ -1028,12 +1115,14 @@ def test_benchmark_hooks_resolve(monkeypatch, tmp_path):
         try:
             tracer.install()
             trainer.evaluate(cfg, policy)
+            trainer.collect_rollouts(env, policy, episodes, rng)
         finally:
             tracer.uninstall()
         names = [tracer.names[i] for i in tracer.name]
         assert names.count("trainer.evaluate") == 1
+        assert names.count("trainer.collect_rollouts") == 1
         assert names.count("trainer.run_episode") == (
-            0 if env_name == "basic_nav" else episodes)
+            0 if env_name == "basic_nav" else 2 * episodes)
     # nor do lockstep demonstrations
     tracer = spans.Tracer(0)
     try:
