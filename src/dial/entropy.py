@@ -158,26 +158,22 @@ class KnnGraph:
         s = math.log(self.k) - math.log(self.m) - self.log_vol
         return float(-np.mean(s) + self._bias)
 
-    # iw_entropy and kl_estimate take big, neighbor_weight_sums(ws.weights),
-    # from a caller that already has it
-
-    def iw_entropy(self, ws: ImportanceWeightSet, big=None) -> float:
+    def iw_entropy(self, ws: ImportanceWeightSet) -> float:
         # H_k = -sum_i (W_i / k) ln(W_i / V_i) + ln k - psi(k)
-        s = self._iw_sum(ws, big)
+        s = self._iw_sum(ws)
         return float(-s + self._bias)
 
-    def kl_estimate(self, ws: ImportanceWeightSet, big=None) -> float:
+    def kl_estimate(self, ws: ImportanceWeightSet) -> float:
         # entropy() - iw_entropy(ws) as a direct difference of the two sums,
         # so the ln k - psi(k) bias cancels; 0 at uniform weights
         plain = -np.mean(math.log(self.k) - math.log(self.m) - self.log_vol)
-        return float(plain + self._iw_sum(ws, big))
+        return float(plain + self._iw_sum(ws))
 
-    def _iw_sum(self, ws: ImportanceWeightSet, big) -> float:
+    def _iw_sum(self, ws: ImportanceWeightSet) -> float:
         w = ws.weights
         if w.shape[0] != self.m:
             raise ValueError(f"expected {self.m} weights, got {w.shape[0]}")
-        if big is None:
-            big = self.neighbor_weight_sums(w)
+        big = w[self.neighbors].sum(axis=1)
         pos = big > 0.0
         terms = np.zeros(self.m)
         terms[pos] = (big[pos] / self.k) * (np.log(big[pos]) - self.log_vol[pos])

@@ -313,16 +313,16 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
         w = u[traj_of_particle]
         w = w / w.sum()
         ws = ImportanceWeightSet(w)
-        big = graph.neighbor_weight_sums(w)
 
         # the signed estimate drifts negative under pure entropy ascent, so
         # the region must bite on deviation in either direction
-        dkl = graph.kl_estimate(ws, big)
+        dkl = graph.kl_estimate(ws)
         if inner > 0 and abs(dkl) > tr.delta:
             break
         dkls.append(dkl)
-        entropies.append(graph.iw_entropy(ws, big))
+        entropies.append(graph.iw_entropy(ws))
 
+        big = graph.neighbor_weight_sums(w)
         term = np.zeros_like(big)
         pos = big > 0.0
         term[pos] = (np.log(big[pos]) - graph.log_vol[pos] + 1.0) / tr.k

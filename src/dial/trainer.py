@@ -17,8 +17,8 @@ stream's draws as they were. Anything else runs one episode at a time on
 the stage stream, so an expert that draws nothing per step writes the same
 demonstrations on either path. collect_rollouts keeps every episode on
 the one stage stream, and with step_batch and a Gaussian policy it still
-steps them in lockstep: it draws each episode's noise ahead and rewinds
-the stream where one ends early.
+steps them in lockstep while they run to the horizon: it draws each
+episode's noise ahead and rewinds the stream where one ends early.
 """
 
 from __future__ import annotations
@@ -557,38 +557,47 @@ def run_episode(env, policy, task, rng) -> tuple:
 
 
 def collect_rollouts(env, policy, n: int, rng, mode: str = "il",
-                     budget_left: int | None = None):
+                     budget_left: int | None = None, ahead: bool = False):
     """Up to n episodes, stopping early once budget_left steps are recorded;
     returns the trajectories, their goal flags and the step count.
 
     Episodes draw from the one stream rng in turn, each its task and then
-    what run_episode draws. With env.step_batch and a policy with act_noise
-    they step together through run_episodes, with the same bits. Each
-    remaining episode is drawn ahead as if it ran to the horizon, its noise
-    one standard_normal((horizon, dim)) block: numpy fills that block as
-    horizon calls of standard_normal(dim) would, and leaves rng in their
-    state (a test pins this). Episodes are kept in order up to the first
-    that ends early or meets the budget. rng is then rewound to before that
-    one's draws, which are repeated for the steps it took, and the episodes
-    after it are drawn ahead again if still wanted.
+    what run_episode draws. With ahead, env.step_batch and a policy with
+    act_noise, they step together with the same bits: the next episodes,
+    as many as n and the budget could keep, are drawn ahead as if each ran
+    to the horizon, its noise one standard_normal((horizon, dim)) block.
+    numpy fills that block as horizon calls of standard_normal(dim) would,
+    and leaves rng in their state (a test pins this). They are kept up to
+    the first that reaches its goal or meets the budget; as it ends, the
+    ones after it stop. rng is then rewound to before the last kept one's
+    draws, which are repeated for the steps it took.
+
+    Drawing ahead pays only while episodes run to the horizon, so pass
+    ahead where the last batch did (not any(goals)). After an episode
+    reaches its goal the rest run one at a time. No result depends on it.
     """
     lockstep = hasattr(env, "step_batch") and hasattr(policy, "act_noise")
     trajs, goals, steps, over = [], [], 0, False
     while len(trajs) < n and not over:
-        if lockstep:
-            marks, batch = _draw_ahead(env, policy, n - len(trajs), rng, mode)
+        k = n - len(trajs)
+        if budget_left is not None:
+            k = min(k, math.ceil((budget_left - steps) / env.horizon))
+        if lockstep and ahead and k > 1:
+            marks, batch = _draw_ahead(env, policy, k, rng, mode)
         else:
-            batch = [run_episode(env, policy, env.sample_task(rng, mode), rng)]
-        for i, (tau, goal) in enumerate(batch):
+            task = env.sample_task(rng, mode)
+            marks, batch = None, [run_episode(env, policy, task, rng)]
+        for kept, (tau, goal) in enumerate(batch, 1):
             trajs.append(tau)
             goals.append(goal)
             steps += len(tau)
+            ahead = ahead and not goal
             over = budget_left is not None and steps >= budget_left
-            if over or len(tau) < env.horizon:
-                if lockstep:
-                    rng.bit_generator.state = marks[i]
-                    _draw_episode(env, policy, rng, mode, len(tau))
+            if over or goal:
                 break
+        if marks:
+            rng.bit_generator.state = marks[kept - 1]
+            _draw_episode(env, policy, rng, mode, len(tau))
     return trajs, goals, steps
 
 
@@ -600,17 +609,41 @@ def _draw_episode(env, policy, rng, mode: str, steps: int) -> tuple:
 
 
 def _draw_ahead(env, policy, k: int, rng, mode: str) -> tuple:
-    """k episodes drawn ahead to the horizon and run in lockstep; returns
-    the rng state saved before each one's draws, and its (Trajectory,
-    goal) pair."""
+    """k episodes drawn ahead to the horizon and stepped together up to the
+    first that reaches its goal; returns the rng state saved before each
+    one's draws, and the (Trajectory, goal) pairs of those kept."""
     marks, draws = [], []
     for _ in range(k):
         marks.append(rng.bit_generator.state)
         draws.append(_draw_episode(env, policy, rng, mode, env.horizon))
     tasks, starts, noise = zip(*draws)
-    z = iter(np.stack(noise, axis=1))
-    return marks, _lockstep(env, tasks, starts, _goal_rows(tasks),
-                            lambda obs: policy.act_noise(obs, next(z)))
+    goals = _goal_rows(tasks)
+    z = np.stack(noise, axis=1)
+    state = np.array(starts, dtype=float)
+    horizon = env.horizon
+    # time-major records; the loop writes views of the rows still stepping
+    recs = (np.zeros((horizon, k, env.state_dim)),
+            np.zeros((horizon, k, env.action_dim)),
+            np.zeros((horizon, k)), np.zeros((horizon, k, env.cost_dim)))
+    states, actions, rewards, costs = recs
+    lens, kept, reached = [horizon] * k, k, False
+    for t in range(horizon):
+        states[t] = state
+        actions[t] = a = policy.act_noise(state, z[t, :len(state)])
+        state, rewards[t], costs[t], goal = env.step_batch(state, a, goals)
+        if goal.any():
+            # the first row to end is kept; it and the rows after it stop
+            j = int(goal.argmax())
+            lens[j], kept, reached = t + 1, j + 1, True
+            state = state[:j]
+            goals = None if goals is None else goals[:j]
+            states, actions, rewards, costs = (r[:, :j] for r in
+                                               (states, actions, rewards, costs))
+            if not j:
+                break
+    return marks, [(Trajectory(*(r[:n, i] for r in recs), task=task),
+                    reached and i == kept - 1)
+                   for i, (n, task) in enumerate(zip(lens[:kept], tasks))]
 
 
 def _episode_violates(env, tau: Trajectory) -> bool:
@@ -693,8 +726,11 @@ def run_tasks(env, jobs, policy_for) -> list:
     tasks, starts, rngs = zip(*rows)
     goals = _goal_rows(tasks)
     policy = policy_for(goals)
-    return results + _lockstep(env, tasks, starts, goals,
-                               lambda obs: policy.act_rows(obs, rngs))
+    *recs, lens, goal = run_episodes(
+        env, starts, lambda obs: policy.act_rows(obs, rngs), goals)
+    return results + [
+        (Trajectory(*(r[:n, i] for r in recs), task=task), bool(g))
+        for i, (n, g, task) in enumerate(zip(lens, goal, tasks))]
 
 
 def _goal_rows(tasks) -> np.ndarray | None:
@@ -702,13 +738,6 @@ def _goal_rows(tasks) -> np.ndarray | None:
     if any(task.goal is None for task in tasks):
         return None
     return np.array([task.goal for task in tasks], dtype=float)
-
-
-def _lockstep(env, tasks, starts, goals, act) -> list:
-    """run_episodes over one start per task, as (Trajectory, goal) pairs."""
-    *recs, lens, goal = run_episodes(env, starts, act, goals)
-    return [(Trajectory(*(r[:n, i] for r in recs), task=task), bool(g))
-            for i, (n, g, task) in enumerate(zip(lens, goal, tasks))]
 
 
 def evaluate(cfg: TrainConfig, policy) -> tuple:
@@ -1001,11 +1030,13 @@ def safe_il(cfg: TrainConfig, dataset_path, out_dir) -> dict:
 
     records = []
     steps_total = 0
+    ahead = True  # a fresh stage's episodes are taken to run to the horizon
     while steps_total < cfg.env_steps:
         rollouts, goals, got = collect_rollouts(
             env, policy, cfg.n_rollouts, rng, "il",
-            budget_left=cfg.env_steps - steps_total)
+            budget_left=cfg.env_steps - steps_total, ahead=ahead)
         steps_total += got
+        ahead = not any(goals)
 
         # constraint phase: importance weights are taken against the model
         # that was current when this batch was collected
@@ -1128,11 +1159,13 @@ def _safe_tl_control(cfg, env, model, policy, lam, mode, rng, out_dir):
     ls = _lagrange(env, cfg)
     records = []
     steps_total = 0
+    ahead = True  # a fresh stage's episodes are taken to run to the horizon
     while steps_total < cfg.env_steps:
         rollouts, goals, got = collect_rollouts(
             env, policy, cfg.n_rollouts, rng, mode,
-            budget_left=cfg.env_steps - steps_total)
+            budget_left=cfg.env_steps - steps_total, ahead=ahead)
         steps_total += got
+        ahead = not any(goals)
         risk_bars = 1.0 - gamma_criterion(model, rollouts, lam)
         expected = float(risk_bars.mean())
         ls = update_safety_weight(ls, expected)

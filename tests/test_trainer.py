@@ -402,10 +402,11 @@ def test_normal_block_is_its_rows_drawn_in_turn():
 
 
 class TestLockstepRollouts:
-    """collect_rollouts runs basic_nav and mountain_car episodes in lockstep
-    on the one shared stream. It must stay bit for bit the one-episode-at-a-
-    time loop below, the stream's state afterwards included, also when
-    episodes end early and when the budget stops a drawn-ahead batch."""
+    """collect_rollouts(ahead=True) runs basic_nav and mountain_car episodes
+    in lockstep on the one shared stream. It must stay bit for bit the
+    one-episode-at-a-time loop below, the stream's state afterwards
+    included, also when episodes end early and when the budget stops a
+    drawn-ahead batch."""
 
     CFG = {"basic_nav": {"goal_radius": 8.0, "horizon": 50},
            "mountain_car": {"goal_position": -0.38, "horizon": 50}}
@@ -422,11 +423,12 @@ class TestLockstepRollouts:
                 break
         return trajs, goals, steps
 
-    def check(self, env, policy, n, seed, budget=None) -> list:
-        """Asserts both loops agree from seed; returns the episode lengths."""
+    def check(self, env, policy, n, seed, budget=None, ahead=True) -> tuple:
+        """Asserts both loops agree from seed; returns the episode lengths
+        and goal flags."""
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got, goals, steps = collect_rollouts(env, policy, n, got_rng, "il",
-                                             budget_left=budget)
+                                             budget_left=budget, ahead=ahead)
         want, want_goals, want_steps = self.serial(env, policy, n, want_rng, budget)
         assert (goals, steps) == (want_goals, want_steps)
         assert [len(t) for t in got] == [len(t) for t in want]
@@ -437,27 +439,63 @@ class TestLockstepRollouts:
                          (a.cost_features, b.cost_features)):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        return [len(t) for t in got]
+        return [len(t) for t in got], goals
+
+    @staticmethod
+    def kept_batches(monkeypatch) -> list:
+        """Records the (length, goal flag) of the episodes kept from each
+        batch drawn ahead."""
+        from dial import trainer
+        real, kept = trainer._draw_ahead, []
+
+        def spy(*args):
+            marks, batch = real(*args)
+            kept.append([(len(tau), goal) for tau, goal in batch])
+            return marks, batch
+
+        monkeypatch.setattr(trainer, "_draw_ahead", spy)
+        return kept
 
     @pytest.mark.parametrize("env_name", sorted(CFG))
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("budget", [None, 1, 51, 120])
-    def test_matches_serial_loop(self, env_name, n, budget):
+    def test_matches_serial_loop(self, monkeypatch, env_name, n, budget):
+        kept = self.kept_batches(monkeypatch)
         env = make_env(env_name, self.CFG[env_name])
         pol = TestLockstep._policy(env, 0.5)
-        lens = [k for seed in range(6) for k in self.check(env, pol, n, seed, budget)]
+        lens = [k for seed in range(6) for k in self.check(env, pol, n, seed, budget)[0]]
         if n == 4 and budget is None:
             assert min(lens) < env.horizon == max(lens)
+            # and some batch was stopped by a goal, so rng was rewound
+            assert any(batch[-1][1] for batch in kept)
 
-    def test_budget_stops_a_drawn_ahead_batch(self):
-        # both episodes run to the horizon, so all four stepped together
-        # and the budget, not an early end, cuts the batch after the second
+    def test_budget_stops_a_drawn_ahead_batch(self, monkeypatch):
+        # the budget can keep two full episodes of the four, so only two
+        # are drawn ahead, and it stops the batch after the second
+        kept = self.kept_batches(monkeypatch)
         env = make_env("basic_nav", self.CFG["basic_nav"])
         pol = TestLockstep._policy(env, 0.5)
-        assert self.check(env, pol, 4, 0, budget=env.horizon + 1) == [env.horizon] * 2
+        assert self.check(env, pol, 4, 0, budget=env.horizon + 1)[0] == [env.horizon] * 2
+        assert kept == [[(env.horizon, False)] * 2]
 
-    @pytest.mark.parametrize("env_name", ["basic_nav", "cartpole"])
-    def test_only_envs_without_step_batch_step_serially(self, monkeypatch, env_name):
+    @pytest.mark.parametrize("env_name", sorted(CFG))
+    def test_one_at_a_time_after_a_goal(self, monkeypatch, env_name):
+        # one batch is drawn ahead; it keeps the episodes up to the first
+        # goal (on basic_nav's seed 5, reached at the horizon's last step),
+        # and the episodes after it run one at a time
+        kept = self.kept_batches(monkeypatch)
+        env = make_env(env_name, self.CFG[env_name])
+        pol = TestLockstep._policy(env, 0.5)
+        for seed in range(6):
+            kept.clear()
+            lens, goals = self.check(env, pol, 4, seed)
+            first = goals.index(True) + 1 if any(goals) else 4
+            assert kept == [list(zip(lens, goals))[:first]]
+
+    @pytest.mark.parametrize("env_name, ahead, alone", [
+        ("basic_nav", True, 0), ("basic_nav", False, 3), ("cartpole", True, 3)])
+    def test_who_runs_run_episode(self, monkeypatch, env_name, ahead, alone):
+        # without ahead, or on an env without step_batch, every episode does
         calls = []
 
         def counted(*args):
@@ -465,10 +503,10 @@ class TestLockstepRollouts:
             return run_episode(*args)
 
         monkeypatch.setattr("dial.trainer.run_episode", counted)
-        env = make_env(env_name, self.CFG.get(env_name, ENV_SMALL[env_name]))
+        env = make_env(env_name, ENV_SMALL[env_name])
         pol = TestLockstep._policy(env, 0.5)
-        self.check(env, pol, 3, 4)
-        assert len(calls) == (0 if env_name == "basic_nav" else 3)
+        assert self.check(env, pol, 3, 4, ahead=ahead)[0] == [env.horizon] * 3
+        assert len(calls) == alone
 
 
 class TestDetourRows:
@@ -1087,8 +1125,7 @@ def test_benchmark_hooks_resolve(monkeypatch, tmp_path):
                                      kl_weight=1.0, prior=BetaParams(0.1, 0.9),
                                      prev_gamma=prev, opt=Sgd(1e-2))
         entropy.KnnGraph(entropy.ParticleSet(rng.normal(size=(12, 2))), 4)
-        # cartpole has no step_batch, so its rollouts still run run_episode
-        env = make_env("cartpole", ENV_SMALL["cartpole"])
+        env = make_env("basic_nav", NAV_SMALL)
         policy = GaussianPolicy(env.state_dim, env.action_low, env.action_high, 4, rng)
         trajs, _, steps = trainer.collect_rollouts(env, policy, 3, rng)
     finally:
@@ -1104,8 +1141,7 @@ def test_benchmark_hooks_resolve(monkeypatch, tmp_path):
     assert counts["trainer.run_episode"] == [len(t) for t in trajs]
     assert len(counts["envs.step"]) == steps == sum(len(t) for t in trajs)
     assert trainer.dial_threads() == 1
-    # lockstep evaluation and rollouts run no run_episode; the per-episode
-    # path still does
+    # lockstep evaluation runs no run_episode; the per-episode path still does
     for env_name, episodes in (("basic_nav", 3), ("cartpole", 2)):
         env = make_env(env_name, ENV_SMALL[env_name])
         policy = GaussianPolicy(env.state_dim, env.action_low, env.action_high, 4, rng)
@@ -1115,14 +1151,12 @@ def test_benchmark_hooks_resolve(monkeypatch, tmp_path):
         try:
             tracer.install()
             trainer.evaluate(cfg, policy)
-            trainer.collect_rollouts(env, policy, episodes, rng)
         finally:
             tracer.uninstall()
         names = [tracer.names[i] for i in tracer.name]
         assert names.count("trainer.evaluate") == 1
-        assert names.count("trainer.collect_rollouts") == 1
         assert names.count("trainer.run_episode") == (
-            0 if env_name == "basic_nav" else 2 * episodes)
+            0 if env_name == "basic_nav" else episodes)
     # nor do lockstep demonstrations
     tracer = spans.Tracer(0)
     try:
