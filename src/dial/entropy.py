@@ -77,10 +77,11 @@ def knn_volume(radius: float, dim: int) -> float:
 
 def _knn_block(x: np.ndarray, s: int, e: int, k: int, width: int):
     """k nearest neighbors of rows s:e of x among all of x, self excluded."""
-    m = x.shape[0]
-    d2 = np.zeros((e - s, m))
-    for j in range(x.shape[1]):
-        diff = x[s:e, j, None] - x[None, :, j]
+    d2 = x[s:e, 0, None] - x[None, :, 0]
+    np.square(d2, out=d2)
+    diff = np.empty_like(d2)
+    for j in range(1, x.shape[1]):
+        np.subtract(x[s:e, j, None], x[None, :, j], out=diff)
         d2 += np.square(diff, out=diff)
     d2[np.arange(e - s), np.arange(s, e)] = np.inf
     # at width m - 1 self, the only inf in its row, is the one member dropped

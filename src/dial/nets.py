@@ -1,10 +1,11 @@
 """Small neural nets with hand-written reverse-mode gradients.
 
 Everything the training loops differentiate goes through one fixed topology:
-input -> hidden -> hidden -> output with relu in between.  Heads transform
-raw outputs into policy or distribution parameters and expose the matching
-backward maps.  No autograd framework involved, which keeps the gradient
-path auditable and the finite-difference tests meaningful.
+input -> hidden -> hidden -> output with relu in between, caching the input
+and the post-activations for backward.  Heads transform raw outputs into
+policy or distribution parameters and expose the matching backward maps.  No
+autograd framework involved, which keeps the gradient path auditable and the
+finite-difference tests meaningful.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ def sigmoid(x):
 class Mlp:
     """Fully connected net with two relu hidden layers.
 
-    Weights start glorot-uniform, biases at zero.  forward caches
-    activations; backward consumes the most recent forward's cache.
+    Weights start glorot-uniform, biases at zero.  forward caches its input
+    and the two post-activations; backward consumes the most recent
+    forward's cache and reads each relu mask off its post-activation.
     """
 
     def __init__(self, in_dim: int, hidden: int, out_dim: int, rng: np.random.Generator):
@@ -61,12 +63,16 @@ class Mlp:
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
-        z1 = x @ self.weights[0] + self.biases[0]
-        h1 = np.maximum(z1, 0.0)
-        z2 = h1 @ self.weights[1] + self.biases[1]
-        h2 = np.maximum(z2, 0.0)
-        out = h2 @ self.weights[2] + self.biases[2]
-        self._cache = (x, z1, h1, z2, h2)
+        # bias and relu in place: np.maximum(x @ W + b, 0.0) bit for bit
+        h1 = x @ self.weights[0]
+        h1 += self.biases[0]
+        np.maximum(h1, 0.0, out=h1)
+        h2 = h1 @ self.weights[1]
+        h2 += self.biases[1]
+        np.maximum(h2, 0.0, out=h2)
+        out = h2 @ self.weights[2]
+        out += self.biases[2]
+        self._cache = (x, h1, h2)
         return out[0] if squeeze else out
 
     def forward_rows(self, x: np.ndarray) -> np.ndarray:
@@ -84,25 +90,26 @@ class Mlp:
         return h[:, 0]
 
     def release(self) -> None:
-        """Drop backward's cache: every activation of the last forward."""
+        """Drop backward's cache: the last forward's input and activations."""
         self._cache = None
 
     def backward(self, dout: np.ndarray) -> list:
         """Gradients of sum(dout * out) w.r.t. params, in params() order."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x, z1, h1, z2, h2 = self._cache
+        x, h1, h2 = self._cache
         dout = np.asarray(dout, dtype=float)
         if dout.ndim == 1:
             dout = dout[None, :]
         dw2 = h2.T @ dout
         db2 = dout.sum(axis=0)
-        dh2 = dout @ self.weights[2].T
-        dz2 = dh2 * (z2 > 0.0)
+        # h > 0 exactly where the pre-activation z > 0, NaN rows included
+        dz2 = dout @ self.weights[2].T
+        np.multiply(dz2, h2 > 0.0, out=dz2)
         dw1 = h1.T @ dz2
         db1 = dz2.sum(axis=0)
-        dh1 = dz2 @ self.weights[1].T
-        dz1 = dh1 * (z1 > 0.0)
+        dz1 = dz2 @ self.weights[1].T
+        np.multiply(dz1, h1 > 0.0, out=dz1)
         dw0 = x.T @ dz1
         db0 = dz1.sum(axis=0)
         return [dw0, db0, dw1, db1, dw2, db2]
@@ -167,14 +174,18 @@ class GaussianHead:
         mu, sd = self.split(raw)
         return mu + sd * rng.standard_normal(mu.shape)
 
-    def log_prob(self, raw: np.ndarray, a_raw: np.ndarray) -> np.ndarray:
-        mu, sd = self.split(raw)
-        q = (a_raw - mu) / sd
+    @staticmethod
+    def _log_density(diff: np.ndarray, sd: np.ndarray) -> np.ndarray:
+        q = diff / sd
         return (-0.5 * q * q - np.log(sd) - 0.5 * np.log(2.0 * np.pi)).sum(axis=-1)
 
-    def log_prob_backward(self, raw: np.ndarray, a_raw: np.ndarray,
-                          coeff: np.ndarray) -> np.ndarray:
-        """d(sum coeff_b * logp_b)/d(raw), for fixed sampled actions."""
+    def log_prob(self, raw: np.ndarray, a_raw: np.ndarray) -> np.ndarray:
+        mu, sd = self.split(raw)
+        return self._log_density(a_raw - mu, sd)
+
+    def log_prob_grad(self, raw: np.ndarray, a_raw: np.ndarray):
+        """(logp_b, d(logp_b)/d(raw_b)) per row for fixed sampled actions;
+        a caller weighting row b by c_b multiplies the gradient by c[:, None]."""
         raw = np.asarray(raw, dtype=float)
         mu, sd = self.split(raw)
         diff = a_raw - mu
@@ -183,8 +194,8 @@ class GaussianHead:
         t = np.tanh(raw[..., : self.dim])
         draw_m = dmu * self.half * (1.0 - t * t)
         draw_s = dsd * sigmoid(raw[..., self.dim :])
-        c = np.asarray(coeff, dtype=float)[..., None]
-        return np.concatenate([draw_m * c, draw_s * c], axis=-1)
+        return (self._log_density(diff, sd),
+                np.concatenate([draw_m, draw_s], axis=-1))
 
     def entropy(self, raw: np.ndarray) -> np.ndarray:
         _, sd = self.split(raw)

@@ -198,15 +198,16 @@ def ppo_lagrange_update(policy: GaussianPolicy, rollouts: list, risk_bars,
     clip_hits = 0
     for s in range(0, len(idx), ppo.minibatch):
         mb = idx[s:s + ppo.minibatch]
-        raw = policy.net.forward(obs[mb])
-        lp = policy.head.log_prob(raw, a_raw[mb])
+        obs_mb = obs[mb]
+        raw = policy.net.forward(obs_mb)
+        lp, dlp = policy.head.log_prob_grad(raw, a_raw[mb])
         ratio = np.exp(np.clip(lp - lp_old[mb], -LOG_RATIO_CLIP, LOG_RATIO_CLIP))
         a_mb = adv[mb]
         outside = ((a_mb >= 0.0) & (ratio > 1.0 + ppo.clip)) | (
             (a_mb < 0.0) & (ratio < 1.0 - ppo.clip))
         clip_hits += int(outside.sum())
         coeff = np.where(outside, 0.0, ratio * a_mb) / len(mb)
-        dr = policy.head.log_prob_backward(raw, a_raw[mb], coeff)
+        dr = dlp * coeff[:, None]
         if ppo.entropy_beta > 0.0:
             dr = dr + policy.head.entropy_backward(
                 raw, np.full(len(mb), ppo.entropy_beta / len(mb)))
@@ -218,7 +219,7 @@ def ppo_lagrange_update(policy: GaussianPolicy, rollouts: list, risk_bars,
 
         for net, opt, target in ((ppo.v_reward, ppo.opt_vr, ret_r),
                                  (ppo.v_cost, ppo.opt_vc, ret_c)):
-            v = net.forward(obs[mb])[:, 0]
+            v = net.forward(obs_mb)[:, 0]
             gv = net.backward((2.0 * (v - target[mb]) / len(mb))[:, None])
             if not all(np.all(np.isfinite(g)) for g in gv):
                 _restore(policy, ppo, snapshot)
@@ -292,11 +293,12 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
     risk_base = risk_bars.mean()
 
     # inner step 0 runs at these parameters, so it reuses this forward
-    raw = policy.net.forward(obs)
-    lp_old = lp_new = policy.head.log_prob(raw, a_raw)
+    lp_old, dlp = policy.head.log_prob_grad(policy.net.forward(obs), a_raw)
+    lp_new = lp_old
 
     # inverse neighbor scatter: dH/dw_j = -sum over balls containing j
     inv_idx = graph.neighbors.ravel()
+    h_plain = graph.entropy()
 
     dkls = []
     entropies = []
@@ -304,8 +306,7 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
     aborted = False
     for inner in range(MAX_INNER):
         if inner > 0:
-            raw = policy.net.forward(obs)
-            lp_new = policy.head.log_prob(raw, a_raw)
+            lp_new, dlp = policy.head.log_prob_grad(policy.net.forward(obs), a_raw)
         delta_m = np.zeros(n_traj)
         np.add.at(delta_m, traj_of_row, lp_new - lp_old)
         clipped = np.abs(delta_m) >= LOG_RATIO_CLIP
@@ -320,7 +321,8 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
         if inner > 0 and abs(dkl) > tr.delta:
             break
         dkls.append(dkl)
-        entropies.append(graph.iw_entropy(ws))
+        # iw_entropy(ws), the plain estimate less the divergence
+        entropies.append(h_plain - dkl)
 
         big = graph.neighbor_weight_sums(w)
         term = np.zeros_like(big)
@@ -340,8 +342,7 @@ def safe_il_policy_step(policy: GaussianPolicy, rollouts: list, risk_bars,
         coef += u * ((returns - r_base) - kappa_tilde * (risk_bars - risk_base)) / n_traj
         coef[clipped] = 0.0
 
-        dr = policy.head.log_prob_backward(raw, a_raw, coef[traj_of_row])
-        grads = policy.net.backward(dr)
+        grads = policy.net.backward(dlp * coef[traj_of_row][:, None])
         if not all(np.all(np.isfinite(g_)) for g_ in grads):
             aborted = True
             break

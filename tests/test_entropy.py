@@ -73,6 +73,25 @@ def full_matrix_knn(x, k):
     return nbr, np.sqrt(d2[np.arange(m), nbr[:, -1]])
 
 
+def ref_knn_block(x, s, e, k, width):
+    """entropy._knn_block with its squared distances summed into a zeros
+    array and a fresh difference array per coordinate: the bits' reference."""
+    m = x.shape[0]
+    d2 = np.zeros((e - s, m))
+    for j in range(x.shape[1]):
+        diff = x[s:e, j, None] - x[None, :, j]
+        d2 += np.square(diff, out=diff)
+    d2[np.arange(e - s), np.arange(s, e)] = np.inf
+    part = np.argpartition(d2, width - 1, axis=1)[:, :width]
+    order = np.lexsort((part, np.take_along_axis(d2, part, axis=1)), axis=1)
+    cand = np.take_along_axis(part, order, axis=1)
+    edge = np.take_along_axis(d2, cand[:, [k - 1, width - 1]], axis=1)
+    for r in np.flatnonzero(edge[:, 0] == edge[:, 1]):
+        cand[r, :k] = np.argsort(d2[r], kind="stable")[:k]
+    kth = np.sqrt(np.take_along_axis(d2, cand[:, k - 1 : k], axis=1)[:, 0])
+    return cand[:, :k], kth
+
+
 class TestVolume:
     def test_unit_disc(self):
         assert abs(knn_volume(1.0, 2) - math.pi) < 1e-12
@@ -271,6 +290,42 @@ class TestBlockSearch:
         # the whole matrix alone was 2048^2 doubles, 33.6 MB; one block of
         # distances and its partition indices are about 1 MB
         assert peak < 4e6
+
+
+class TestBlockBits:
+    """entropy._knn_block against ref_knn_block, byte for byte."""
+
+    @staticmethod
+    def check(monkeypatch, search, x, k):
+        got = search(x, k)
+        monkeypatch.setattr(entropy, "_knn_block", ref_knn_block)
+        want = search(x, k)
+        monkeypatch.undo()
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_random_sets(self, monkeypatch, dim):
+        # 300 rows: whole blocks and a partial last one
+        x = np.random.default_rng(80 + dim).normal(size=(300, dim))
+        self.check(monkeypatch, entropy._knn_search, x, 4)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_duplicate_points(self, monkeypatch, dim):
+        x = np.repeat(np.random.default_rng(90 + dim).normal(size=(60, dim)), 6, axis=0)
+        def graph_search(x, k):
+            graph = KnnGraph(ParticleSet(x), k)
+            return graph.neighbors, graph.kth_dist
+
+        # zero distances as searched, and the graph's jittered search
+        self.check(monkeypatch, entropy._knn_search, x, 4)
+        self.check(monkeypatch, graph_search, x, 4)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_ties_wider_than_the_candidates(self, monkeypatch, dim):
+        x = np.random.default_rng(70 + dim).integers(0, 9, size=(600, dim)) * 1.0
+        self.check(monkeypatch, entropy._knn_search, x, 5)
 
 
 class TestIwEntropy:

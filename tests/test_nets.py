@@ -1,7 +1,9 @@
 """Gradient and optimizer tests.
 
 The oracle for every backward path is central finite differences over the
-parameters (or raw head inputs) of the corresponding scalar loss.
+parameters (or raw head inputs) of the corresponding scalar loss.  The
+in-place Mlp passes and the one-pass Gaussian-head gradient are also held
+to the bits of plain references that allocate every intermediate.
 """
 
 import math
@@ -40,6 +42,151 @@ def fd_param_grad(loss_fn, params, h=1e-6):
             gf[i] = (up - dn) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+# ---------------------------------------------------------------------------
+# references for the bits: every intermediate a fresh array, the relu masks
+# read off the cached pre-activations, the head's coefficients multiplied
+# inside its backward map
+
+
+def ref_forward(self, x):
+    """Mlp.forward, caching (x, z1, h1, z2, h2)."""
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = x[None, :]
+    z1 = x @ self.weights[0] + self.biases[0]
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ self.weights[1] + self.biases[1]
+    h2 = np.maximum(z2, 0.0)
+    out = h2 @ self.weights[2] + self.biases[2]
+    self._cache = (x, z1, h1, z2, h2)
+    return out[0] if squeeze else out
+
+
+def ref_backward(self, dout):
+    """Mlp.backward over ref_forward's cache."""
+    if self._cache is None:
+        raise RuntimeError("backward called before forward")
+    x, z1, h1, z2, h2 = self._cache
+    dout = np.asarray(dout, dtype=float)
+    if dout.ndim == 1:
+        dout = dout[None, :]
+    dw2 = h2.T @ dout
+    db2 = dout.sum(axis=0)
+    dh2 = dout @ self.weights[2].T
+    dz2 = dh2 * (z2 > 0.0)
+    dw1 = h1.T @ dz2
+    db1 = dz2.sum(axis=0)
+    dh1 = dz2 @ self.weights[1].T
+    dz1 = dh1 * (z1 > 0.0)
+    dw0 = x.T @ dz1
+    db0 = dz1.sum(axis=0)
+    return [dw0, db0, dw1, db1, dw2, db2]
+
+
+def ref_log_prob(self, raw, a_raw):
+    """GaussianHead.log_prob."""
+    mu, sd = self.split(raw)
+    q = (a_raw - mu) / sd
+    return (-0.5 * q * q - np.log(sd) - 0.5 * np.log(2.0 * np.pi)).sum(axis=-1)
+
+
+def ref_log_prob_backward(self, raw, a_raw, coeff):
+    """d(sum coeff_b * logp_b)/d(raw), the coefficients applied per half."""
+    raw = np.asarray(raw, dtype=float)
+    mu, sd = self.split(raw)
+    diff = a_raw - mu
+    dmu = diff / (sd * sd)
+    dsd = (diff * diff - sd * sd) / (sd ** 3)
+    t = np.tanh(raw[..., : self.dim])
+    draw_m = dmu * self.half * (1.0 - t * t)
+    draw_s = dsd * sigmoid(raw[..., self.dim :])
+    c = np.asarray(coeff, dtype=float)[..., None]
+    return np.concatenate([draw_m * c, draw_s * c], axis=-1)
+
+
+def ref_log_prob_grad(self, raw, a_raw):
+    """GaussianHead.log_prob_grad from the references, at unit coefficients."""
+    raw = np.asarray(raw, dtype=float)
+    return (ref_log_prob(self, raw, a_raw),
+            ref_log_prob_backward(self, raw, a_raw, np.ones(raw.shape[:-1])))
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def zero_preactivation_net(rng):
+    """An Mlp whose pre-activations on zero rows are exactly zero or
+    negative: each hidden bias is 0.0, -0.0 or -0.5, so a zero row's first
+    hidden layer is all zeros and its second sees the bias alone."""
+    net = Mlp(3, 8, 4, rng)
+    for b in net.biases[:2]:
+        b[:] = rng.choice([0.0, -0.0, -0.5], size=b.shape)
+    net.biases[2][:] = rng.normal(size=net.biases[2].shape)
+    return net
+
+
+class TestMlpBits:
+    """Mlp.forward and backward against ref_forward and ref_backward."""
+
+    @staticmethod
+    def check(net, x, dout):
+        want = ref_forward(net, x)
+        want_grads = ref_backward(net, dout)
+        cache = net._cache
+        got = net.forward(x)
+        assert_same_bytes(got, want)
+        for g, w in zip(net.backward(dout), want_grads):
+            assert_same_bytes(g, w)
+        return cache
+
+    @pytest.mark.parametrize("rows", [None, 1, 7, 2400])
+    def test_forward_and_backward(self, rows):
+        # rows None is one 1-d observation
+        rng = np.random.default_rng(rows or 0)
+        net = Mlp(2, 64, 4, rng)
+        for b in net.biases:
+            b[:] = rng.normal(scale=0.1, size=b.shape)
+        shape = (2,) if rows is None else (rows, 2)
+        self.check(net, rng.normal(size=shape),
+                   rng.normal(size=(4,) if rows is None else (rows, 4)))
+
+    def test_exact_zero_preactivations(self):
+        rng = np.random.default_rng(16)
+        net = zero_preactivation_net(rng)
+        x = rng.normal(size=(40, 3))
+        x[::3] = 0.0
+        x[1::3] = -0.0
+        _, z1, _, z2, _ = self.check(net, x, rng.normal(size=(40, 4)))
+        # the case is exercised: exact zeros reach both relu masks.  They
+        # are all +0.0: a matmul sums into +0.0 and +0.0 + -0.0 is +0.0
+        for z in (z1, z2):
+            assert (z == 0.0).any()
+
+    def test_relu_mask_reads_off_the_post_activation(self):
+        # what backward rests on, -0.0 and the other edges included
+        z = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf,
+                      np.nan, -np.nan])
+        with np.errstate(invalid="ignore"):
+            h = np.maximum(z, 0.0)
+        assert_same_bytes(h > 0.0, z > 0.0)
+
+    def test_nan_and_inf_inputs(self):
+        rng = np.random.default_rng(17)
+        net = zero_preactivation_net(rng)
+        x = rng.normal(size=(12, 3))
+        x[2, 0] = np.nan
+        x[5, 1] = np.inf
+        x[7, 2] = -np.inf
+        x[9] = [np.inf, -np.inf, np.nan]
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, z1, _, _, _ = self.check(net, x, rng.normal(size=(12, 4)))
+        assert np.isnan(z1).any() and np.isinf(z1).any()
 
 
 class TestMlp:
@@ -198,21 +345,57 @@ class TestGaussianHead:
         # the env clips, not the head
         assert ((a < head.low) | (a > head.high)).any()
 
-    def test_log_prob_backward_fd(self):
+    def test_log_prob_grad_fd(self):
         head = self.make()
         rng = np.random.default_rng(9)
         raw = rng.normal(size=(3, 4))
         a = rng.normal(size=(3, 2))
-        coeff = rng.normal(size=3)
-        got = head.log_prob_backward(raw, a, coeff)
+        lp, got = head.log_prob_grad(raw, a)
+        assert_same_bytes(lp, head.log_prob(raw, a))
         h = 1e-6
         want = np.zeros_like(raw)
         for i in range(raw.shape[0]):
             for j in range(raw.shape[1]):
                 up = raw.copy(); up[i, j] += h
                 dn = raw.copy(); dn[i, j] -= h
-                want[i, j] = coeff[i] * (head.log_prob(up, a)[i] - head.log_prob(dn, a)[i]) / (2 * h)
+                want[i, j] = (head.log_prob(up, a)[i] - head.log_prob(dn, a)[i]) / (2 * h)
         assert np.abs(got - want).max() < 1e-5
+
+    @pytest.mark.parametrize("rows", [None, 1, 2400])
+    def test_log_prob_grad_bits(self, rows):
+        # a caller's g * c[:, None] is the reference's per-half products
+        head = self.make()
+        rng = np.random.default_rng(rows or 0)
+        shape = () if rows is None else (rows,)
+        raw = rng.normal(scale=2.0, size=shape + (4,))
+        a = rng.normal(size=shape + (2,))
+        c = rng.normal(size=shape)
+        lp, g = head.log_prob_grad(raw, a)
+        assert_same_bytes(lp, ref_log_prob(head, raw, a))
+        assert_same_bytes(head.log_prob(raw, a), ref_log_prob(head, raw, a))
+        assert_same_bytes(g * c[..., None], ref_log_prob_backward(head, raw, a, c))
+
+    def test_log_prob_grad_bits_at_zeros_and_non_finite(self):
+        head = self.make()
+        rng = np.random.default_rng(18)
+        raw = rng.normal(size=(10, 4))
+        raw[0] = 0.0
+        raw[1] = -0.0
+        raw[2, 1] = np.nan
+        raw[3, 2] = np.inf
+        raw[4, 3] = -np.inf
+        raw[5, 0] = 800.0
+        a = rng.normal(size=(10, 2))
+        a[6] = [np.nan, np.inf]
+        a[7, 0] = -0.0
+        c = rng.normal(size=10)
+        c[8] = 0.0
+        c[9] = -0.0
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            lp, g = head.log_prob_grad(raw, a)
+            assert_same_bytes(lp, ref_log_prob(head, raw, a))
+            assert_same_bytes(g * c[:, None], ref_log_prob_backward(head, raw, a, c))
+        assert np.isnan(g).any()
 
     def test_entropy_and_backward(self):
         head = self.make()
@@ -243,8 +426,8 @@ class TestGaussianHead:
         def loss():
             return float((head.log_prob(net.forward(x), a) * coeff).sum())
 
-        raw = net.forward(x)
-        got = net.backward(head.log_prob_backward(raw, a, coeff))
+        _, g = head.log_prob_grad(net.forward(x), a)
+        got = net.backward(g * coeff[:, None])
         want = fd_param_grad(loss, net.params())
         for g, w in zip(got, want):
             denom = max(1.0, float(np.abs(w).max()))

@@ -1034,6 +1034,21 @@ class TestRecipes:
             assert run("b") == first
 
 
+def stage_digests(env_name, data, out):
+    """Safe-il then safe-tl at TestRecipes' stage sizes on 130-step episodes:
+    the digests of the constraint, both policies and both metrics logs."""
+    ec = {"horizon": 130}
+    il_cfg = TrainConfig.for_env(env_name, "safe-il", seed=3, env_steps=300,
+                                 n_rollouts=2, constraint_steps=2,
+                                 env_config=ec, **CEM_SMALL)
+    il = safe_il(il_cfg, data, out / "il")
+    tl_cfg = TrainConfig.for_env(env_name, "safe-tl", seed=4, env_steps=300,
+                                 n_rollouts=2, env_config=ec, **CEM_SMALL)
+    tl = safe_tl(tl_cfg, il["constraint"], il["policy"], out / "tl")
+    return [hash_file(p) for p in (il["constraint"], il["policy"], il["metrics"],
+                                   tl["policy"], tl["metrics"])]
+
+
 @pytest.mark.parametrize("env_name", ["basic_nav", "mountain_car"])
 def test_floor_skip_keeps_stage_bytes(monkeypatch, tmp_path, env_name):
     """Safe-il and safe-tl write the same bytes whether the constraint update
@@ -1043,7 +1058,6 @@ def test_floor_skip_keeps_stage_bytes(monkeypatch, tmp_path, env_name):
     from dial import constraint
     data = write_certified_dataset(tmp_path, make_env(env_name, {"horizon": 40}),
                                    np.random.default_rng(99))
-    ec = {"horizon": 130}
     floor_keep = constraint._floor_keep
     mixes = []
 
@@ -1058,20 +1072,45 @@ def test_floor_skip_keeps_stage_bytes(monkeypatch, tmp_path, env_name):
 
     def run(tag, keep_rule):
         monkeypatch.setattr(constraint, "_floor_keep", keep_rule)
-        il_cfg = TrainConfig.for_env(env_name, "safe-il", seed=3, env_steps=300,
-                                     n_rollouts=2, constraint_steps=2,
-                                     env_config=ec, **CEM_SMALL)
-        il = safe_il(il_cfg, data, tmp_path / tag / "il")
-        tl_cfg = TrainConfig.for_env(env_name, "safe-tl", seed=4, env_steps=300,
-                                     n_rollouts=2, env_config=ec, **CEM_SMALL)
-        tl = safe_tl(tl_cfg, il["constraint"], il["policy"], tmp_path / tag / "tl")
-        return [hash_file(p) for p in (il["constraint"], il["policy"], il["metrics"],
-                                       tl["policy"], tl["metrics"])]
+        return stage_digests(env_name, data, tmp_path / tag)
 
     shipped = run("shipped", counted)
     # updates that skip some rows and solve others
     assert (False, True) in mixes
     assert run("every-row", every_row) == shipped
+
+
+@pytest.mark.parametrize("env_name", ["basic_nav", "mountain_car"])
+def test_reference_passes_keep_stage_bytes(monkeypatch, tmp_path, env_name):
+    """Safe-il and safe-tl write the same bytes through the reference Mlp
+    passes, Gaussian-head gradient and k-NN block of test_nets and
+    test_entropy, which allocate every intermediate, as through the lean
+    ones.  The same stage sizes as test_floor_skip_keeps_stage_bytes."""
+    from dial import entropy
+    from dial.nets import GaussianHead, Mlp
+    from test_entropy import ref_knn_block
+    from test_nets import ref_backward, ref_forward, ref_log_prob, ref_log_prob_grad
+    data = write_certified_dataset(tmp_path, make_env(env_name, {"horizon": 40}),
+                                   np.random.default_rng(99))
+    lean = stage_digests(env_name, data, tmp_path / "lean")
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return call
+
+    for owner, attr, ref in ((Mlp, "forward", ref_forward),
+                             (Mlp, "backward", ref_backward),
+                             (GaussianHead, "log_prob", ref_log_prob),
+                             (GaussianHead, "log_prob_grad", ref_log_prob_grad),
+                             (entropy, "_knn_block", ref_knn_block)):
+        monkeypatch.setattr(owner, attr, counted(ref))
+    assert stage_digests(env_name, data, tmp_path / "reference") == lean
+    # every reference ran: both stages' policy updates and safe-il's k-NN
+    assert set(calls) == {"ref_forward", "ref_backward", "ref_log_prob",
+                          "ref_log_prob_grad", "ref_knn_block"}
 
 
 def test_benchmark_tracer_round_trips():
@@ -1106,7 +1145,9 @@ def test_benchmark_tracer_round_trips():
 def test_benchmark_hooks_resolve(monkeypatch, tmp_path):
     """perfbench/ patches dial functions by name, measures their calls from
     their arguments and builds its workloads' configs through
-    TrainConfig.for_env; all three must survive refactors."""
+    TrainConfig.for_env; all three must survive refactors.  The policy
+    updates must keep calling the Mlp passes and kl_estimate that its
+    per-layer metrics count."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import inputs
     import spans
@@ -1170,3 +1211,38 @@ def test_benchmark_hooks_resolve(monkeypatch, tmp_path):
     for spec in inputs.WORKLOADS.values():
         for stage in inputs.STAGES:
             TrainConfig.for_env(spec["env"], inputs.CFG_STAGE[stage], **spec[stage])
+    # the policy updates' per-layer spans: Mlp passes and the divergence gate
+    from dial import policyopt
+    from dial.nets import AdamState
+    from dial.policyopt import LagrangeState, PpoState, TrustRegionConfig
+
+    def traced_update(name, *args, **kwargs):
+        tracer = spans.Tracer(0)
+        try:
+            tracer.install()
+            out = getattr(policyopt, name)(*args, **kwargs)
+        finally:
+            tracer.uninstall()
+        assert not out["nan_aborted"]
+        names = [tracer.names[i] for i in tracer.name]
+        assert names.count(f"policyopt.{name}") == 1
+        return out, names
+
+    policy = GaussianPolicy(2, [-1.0], [1.0], 4, rng)
+    rolls = [Trajectory(rng.normal(size=(8, 2)), rng.normal(size=(8, 1)),
+                        rng.normal(size=8), np.zeros((8, 1))) for _ in range(3)]
+    ls = LagrangeState(epsilon=0.1)
+    out, names = traced_update(
+        "safe_il_policy_step", policy, rolls, np.zeros(3),
+        TrustRegionConfig(delta=5.0, beta=1.0), ls, rng,
+        opt=AdamState(policy.params(), 1e-3), max_particles=2048)
+    # one forward per inner step, step 0's shared with the old log-probs
+    steps = out["inner_steps"]
+    assert names.count("nets.Mlp.forward") == steps >= 1
+    assert names.count("nets.Mlp.backward") == steps
+    assert names.count("entropy.kl_estimate") == len(out["dkls"]) == steps
+    _, names = traced_update("ppo_lagrange_update", policy, rolls, np.zeros(3), ls,
+                             PpoState(policy, rng), rng)
+    # old log-probs and two value passes, then three nets on one minibatch
+    assert names.count("nets.Mlp.forward") == 3 + 3
+    assert names.count("nets.Mlp.backward") == 3
